@@ -52,6 +52,7 @@ Commands and their outputs:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -108,10 +109,18 @@ def validate(config: dict) -> list[str]:
             problems.append("rb.k_per_length: must be an integer >= 1")
         if "repeats" in rb and (not isinstance(rb["repeats"], int) or rb["repeats"] < 1):
             problems.append("rb.repeats: must be an integer >= 1")
-        if "fit_model" in rb and rb["fit_model"] not in ("zeroth", "first"):
+        elif command == "simulate" and rb.get("repeats", protocol.RBConfig.repeats) < 2:
+            problems.append("rb.repeats: command 'simulate' needs at least 2 repeats")
+        fit_model = rb.get("fit_model", "first")
+        if not isinstance(fit_model, str) or fit_model not in protocol.FIT_PARAMETERS:
             problems.append("rb.fit_model: must be 'zeroth' or 'first'")
-        if "lengths" in rb:
-            problems.extend(_validate_lengths(rb["lengths"], "rb.lengths"))
+            fit_model = None
+        length_problems = _validate_lengths(rb["lengths"], "rb.lengths") if "lengths" in rb else []
+        problems.extend(length_problems)
+        if command in ("simulate", "sweep") and fit_model and not length_problems:
+            needed = protocol.FIT_PARAMETERS[fit_model]
+            if len(_resolve_lengths(rb.get("lengths"))) < needed:
+                problems.append(f"rb.lengths: the {fit_model}-order fit needs at least {needed} lengths")
 
     theory_cfg = config.get("theory", {})
     if not isinstance(theory_cfg, dict):
@@ -138,6 +147,8 @@ def validate(config: dict) -> list[str]:
                 problems.append("sweep.grid: must be a non-empty list of numbers")
             if "repeats" in sweep and (not isinstance(sweep["repeats"], int) or sweep["repeats"] < 2):
                 problems.append("sweep.repeats: must be an integer >= 2")
+            elif "repeats" not in sweep and isinstance(rb, dict) and rb.get("repeats") == 1:
+                problems.append("sweep.repeats: required when rb.repeats is 1 (the sweep needs at least 2)")
 
     if command == "counterexample":
         counter = config.get("counterexample")
@@ -207,6 +218,11 @@ def _validate_lengths(value, label: str) -> list[str]:
     if isinstance(value, dict):
         if set(value) != {"start", "stop", "step"}:
             return [f"{label}: object form needs start, stop, step"]
+        start, stop, step = value["start"], value["stop"], value["step"]
+        if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (start, step)):
+            return [f"{label}: start and step must be integers >= 1"]
+        if not isinstance(stop, (int, float)) or isinstance(stop, bool) or stop < start:
+            return [f"{label}: stop must be a number >= start"]
         return []
     if isinstance(value, list) and value and all(isinstance(m, int) and m >= 1 for m in value):
         return []
@@ -254,8 +270,8 @@ def _resolved_config(config: dict, seed: int, out_dir: str) -> dict:
     resolved["output_dir"] = out_dir
     rb = resolved.setdefault("rb", {})
     rb["lengths"] = list(_resolve_lengths(rb.get("lengths")))
-    rb.setdefault("k_per_length", 500)
-    rb.setdefault("repeats", 50)
+    rb.setdefault("k_per_length", protocol.RBConfig.k_per_length)
+    rb.setdefault("repeats", protocol.RBConfig.repeats)
     rb.setdefault("fit_model", "first")
     return resolved
 
@@ -329,16 +345,10 @@ def _run_theory(resolved: dict, out_dir: Path) -> None:
 
 def _run_sweep(resolved: dict, out_dir: Path) -> None:
     sweep = resolved["sweep"]
-    repeats = sweep.get("repeats", resolved["rb"]["repeats"])
+    config = dataclasses.replace(_rb_config(resolved), repeats=sweep.get("repeats", resolved["rb"]["repeats"]))
     rows = []
     for theta in sweep["grid"]:
         gateset = clifford.build_gateset(clifford.CoherentZ(float(theta)))
-        config = protocol.RBConfig(
-            lengths=tuple(resolved["rb"]["lengths"]),
-            k_per_length=resolved["rb"]["k_per_length"],
-            seed=resolved["seed"],
-            repeats=repeats,
-        )
         estimate = protocol.estimate_r(gateset, config, model=resolved["rb"]["fit_model"])
         gamma_result = theory.gamma_and_r_gamma(theory.build_l_map(gateset))
         epsilon = gauge.agsi_of(gateset)

@@ -335,7 +335,7 @@ def build_gateset(
         imperfect = tuple(model.channel @ element for element in group.elements)
     else:
         imperfect = tuple(
-            Superoperator(_product_along_word_channels(imperfect_prims, word))
+            Superoperator(_product_along_word(imperfect_prims, word))
             for word in compilation.words
         )
     return GateSet(
@@ -346,13 +346,6 @@ def build_gateset(
         primitives_ideal=tuple(sorted(ideal.items())),
         primitives_imperfect=tuple(sorted(imperfect_prims.items())),
     )
-
-
-def _product_along_word_channels(prims: dict[str, Superoperator], word: tuple[str, ...]) -> np.ndarray:
-    ptm = np.eye(4)
-    for name in word:
-        ptm = prims[name].ptm @ ptm
-    return ptm
 
 
 def error_maps(gateset: GateSet) -> list[Superoperator]:

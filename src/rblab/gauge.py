@@ -32,12 +32,12 @@ from .theory import GammaResult, build_l_map, gamma_and_r_gamma
 
 __all__ = [
     "GaugeTransform",
-    "GaugeReport",
     "CounterexampleRow",
     "EpsilonMinResult",
     "WallmanGauge",
     "apply_gauge",
     "agsi",
+    "agsi_of",
     "m_alpha",
     "counterexample_epsilon_min",
     "epsilon_min_search",
@@ -143,15 +143,6 @@ def m_alpha(alpha: float) -> GaugeTransform:
 # --------------------------------------------------------------------------
 # The depolarizing counterexample: minimal CPTP infidelity below r
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaugeReport:
-    epsilon_before: float
-    epsilon_after: float
-    all_cp_after: bool
-    min_choi_eigenvalue_after: float
-    r_reference: float
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Randomized benchmarking simulation and decay fitting.
 
-Sequences are sampled uniformly at random, the inversion gate is found with
-the group tables (no matrix algebra), and survival probabilities are exact
-Born probabilities: there is no per-circuit shot noise, so the only
-randomness is the choice of sequences. Runs are deterministic given the
-configured seed; every sequence length draws from its own RNG stream derived
-from (seed, length index), and repeats derive theirs from (seed, repeat
-index), so results do not depend on evaluation order.
+One sequence engine serves every caller: `sequence_inversions` finds each
+sequence's inverting gate with the group tables (no matrix algebra), and
+`circuit_survivals` gives the exact Born survival probabilities of a batch of
+circuits, so the only randomness is the choice of sequences (no shot noise).
+Every sequence length draws from its own RNG stream derived from (seed,
+length index), and `repeat_datasets` derives each repeat's seed from (seed,
+repeat index), so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -21,20 +21,25 @@ from .superop import Effect, State
 
 __all__ = [
     "DEFAULT_LENGTHS",
+    "FIT_PARAMETERS",
     "Spam",
     "RBConfig",
     "RBDataset",
     "FitResult",
     "RBEstimate",
     "FitError",
+    "sequence_inversions",
+    "circuit_survivals",
     "sample_rb_sequence",
     "survival_probability",
     "run_rb",
+    "repeat_datasets",
     "fit_decay",
     "estimate_r",
 ]
 
 DEFAULT_LENGTHS = tuple(range(1, 2002, 50))
+FIT_PARAMETERS = {"zeroth": 3, "first": 4}  # free parameters: the fewest lengths a fit needs
 
 
 class FitError(RuntimeError):
@@ -151,19 +156,35 @@ class RBEstimate:
 # --------------------------------------------------------------------------
 
 
+def sequence_inversions(group, sequences: np.ndarray) -> np.ndarray:
+    """Index of the inverting Clifford of every row of an (n, m) batch of
+    Clifford indices (applied left to right), from the Cayley and inverse
+    tables alone."""
+    products = sequences[:, 0]
+    for t in range(1, sequences.shape[1]):
+        products = group.cayley[sequences[:, t], products]
+    return group.inverse[products]
+
+
+def circuit_survivals(ptms: np.ndarray, circuits: np.ndarray, spam: Spam) -> np.ndarray:
+    """Exact survival probabilities of an (n, L) batch of circuits, each row
+    listing indices into the (|C|, 4, 4) PTM stack in the order applied."""
+    states = np.broadcast_to(spam.state.coeffs, (circuits.shape[0], 4)).copy()
+    # one contiguous row of native indices per step: no per-step index cast
+    for step in np.ascontiguousarray(circuits.T, dtype=np.intp):
+        states = np.matmul(ptms[step], states[:, :, None])[:, :, 0]
+    return states @ spam.effect.coeffs
+
+
 def sample_rb_sequence(group, m: int, rng: np.random.Generator):
     """Draw m uniform Clifford indices plus the index of their inverting gate.
 
-    The product of all m+1 indexed Cliffords is the identity by construction;
-    the inversion is found with the Cayley and inverse tables.
+    The product of all m+1 indexed Cliffords is the identity by construction.
     """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
     indices = rng.integers(0, len(group), size=m)
-    product = int(indices[0])
-    for idx in indices[1:]:
-        product = int(group.cayley[idx, product])
-    return indices, int(group.inverse[product])
+    return indices, int(sequence_inversions(group, indices[None, :])[0])
 
 
 def survival_probability(gateset: GateSet, sequence, spam: Spam | None = None) -> float:
@@ -173,53 +194,44 @@ def survival_probability(gateset: GateSet, sequence, spam: Spam | None = None) -
     including the final inversion gate, uses the imperfect implementation.
     """
     spam = spam if spam is not None else Spam.ideal()
-    coeffs = spam.state.coeffs
-    for idx in np.asarray(sequence, dtype=int):
-        coeffs = gateset.imperfect[idx].ptm @ coeffs
-    return float(spam.effect.coeffs @ coeffs)
+    circuit = np.asarray(sequence, dtype=np.intp)[None, :]
+    return float(circuit_survivals(gateset.imperfect_stack(), circuit, spam)[0])
 
 
-def _batched_survivals(
-    ptms: np.ndarray,
-    seq_indices: np.ndarray,
-    inv_indices: np.ndarray,
-    spam: Spam,
-) -> np.ndarray:
-    """Survival probabilities for a (k, m) batch of sequences at once."""
-    k, m = seq_indices.shape
-    states = np.broadcast_to(spam.state.coeffs, (k, 4)).copy()
-    for t in range(m):
-        states = np.matmul(ptms[seq_indices[:, t]], states[:, :, None])[:, :, 0]
-    states = np.matmul(ptms[inv_indices], states[:, :, None])[:, :, 0]
-    return states @ spam.effect.coeffs
-
-
-def _batched_inversions(group, seq_indices: np.ndarray) -> np.ndarray:
-    products = seq_indices[:, 0].copy()
-    for t in range(1, seq_indices.shape[1]):
-        products = group.cayley[seq_indices[:, t], products]
-    return group.inverse[products]
+def _draw_circuits(group, rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """k uniform length-m sequences, each completed by its inversion. The
+    indices fit in a byte, so the (k, m+1) batch is an eighth of the draw,
+    and the draw is freed before the kernel runs."""
+    sequences = rng.integers(0, len(group), size=(k, m))
+    circuits = np.empty((k, m + 1), dtype=np.min_scalar_type(len(group) - 1))
+    circuits[:, :m] = sequences
+    circuits[:, m] = sequence_inversions(group, sequences)
+    return circuits
 
 
 def run_rb(gateset: GateSet, config: RBConfig) -> RBDataset:
     """Simulate the RB protocol: K(m) random self-inverting sequences per
     length, exact survival probabilities, and their per-length means."""
-    group = gateset.ideal
     ptms = gateset.imperfect_stack()
     survivals = []
-    means = []
     for length_index, m in enumerate(config.lengths):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, length_index]))
-        seq = rng.integers(0, len(group), size=(config.k_per_length, m))
-        inv = _batched_inversions(group, seq)
-        probs = _batched_survivals(ptms, seq, inv, config.spam)
-        survivals.append(probs)
-        means.append(probs.mean())
+        circuits = _draw_circuits(gateset.ideal, rng, config.k_per_length, m)
+        survivals.append(circuit_survivals(ptms, circuits, config.spam))
     return RBDataset(
         lengths=config.lengths,
         survivals=tuple(survivals),
-        means=np.array(means),
+        means=np.array([probs.mean() for probs in survivals]),
     )
+
+
+def repeat_datasets(gateset: GateSet, config: RBConfig):
+    """Yield one `run_rb` dataset per repeat, each on the seed derived from
+    (config.seed, repeat index)."""
+    for repeat in range(config.repeats):
+        child = np.random.SeedSequence([config.seed, repeat])
+        repeat_seed = int(child.generate_state(1, np.uint64)[0])
+        yield run_rb(gateset, replace(config, seed=repeat_seed))
 
 
 # --------------------------------------------------------------------------
@@ -296,9 +308,9 @@ def fit_decay(dataset: RBDataset, model: str = "first", dim: int = 2) -> FitResu
     steps. Non-decaying data and a p estimate pinned at a bound are flagged
     rather than reported silently.
     """
-    if model not in ("zeroth", "first"):
+    if model not in FIT_PARAMETERS:
         raise ValueError("model must be 'zeroth' or 'first'")
-    n_params = 4 if model == "first" else 3
+    n_params = FIT_PARAMETERS[model]
     if len(dataset.lengths) < n_params:
         raise ValueError(f"{model}-order fit needs at least {n_params} distinct lengths")
 
@@ -439,10 +451,7 @@ def estimate_r(gateset: GateSet, config: RBConfig, model: str = "first") -> RBEs
         raise ValueError("estimate_r needs at least 2 repeats")
     fits = []
     failures = 0
-    for repeat in range(config.repeats):
-        child = np.random.SeedSequence([config.seed, repeat])
-        repeat_seed = int(child.generate_state(1, np.uint64)[0])
-        dataset = run_rb(gateset, replace(config, seed=repeat_seed))
+    for dataset in repeat_datasets(gateset, config):
         try:
             fits.append(fit_decay(dataset, model=model))
         except FitError:

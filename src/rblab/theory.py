@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .clifford import GateSet, average_error_map, error_maps
-from .protocol import Spam
+from .protocol import Spam, circuit_survivals, sequence_inversions
 from .superop import diamond_distance, vec, unvec
 
 __all__ = [
@@ -273,17 +273,6 @@ def brute_force_pm(gateset: GateSet, spam: Spam | None = None, m: int = 1) -> fl
     if m > 3:
         raise ValueError("brute force enumeration is capped at m = 3")
     group = gateset.ideal
-    size = len(group)
-    ptms = gateset.imperfect_stack()
-
-    sequences = np.array(list(product(range(size), repeat=m)), dtype=np.intp)
-    products = sequences[:, 0].copy()
-    for t in range(1, m):
-        products = group.cayley[sequences[:, t], products]
-    inversions = group.inverse[products]
-
-    states = np.broadcast_to(spam.state.coeffs, (len(sequences), 4)).copy()
-    for t in range(m):
-        states = np.matmul(ptms[sequences[:, t]], states[:, :, None])[:, :, 0]
-    states = np.matmul(ptms[inversions], states[:, :, None])[:, :, 0]
-    return float(np.mean(states @ spam.effect.coeffs))
+    sequences = np.array(list(product(range(len(group)), repeat=m)), dtype=np.intp)
+    circuits = np.column_stack([sequences, sequence_inversions(group, sequences)])
+    return float(np.mean(circuit_survivals(gateset.imperfect_stack(), circuits, spam)))

@@ -6,10 +6,34 @@ from rblab import (
     GateIndependent,
     GeneralPrimitive,
     Perfect,
+    Spam,
     build_gateset,
     compile_cliffords,
     generate_clifford_group,
 )
+
+
+def _reference_survivals(gateset, sequences, spam=None):
+    """Survival of each row of an (n, m) index batch completed by its
+    inversion: the batched fold and matmul step loop written out on its own,
+    as an independent check of the `rblab.protocol` sequence engine."""
+    spam = spam if spam is not None else Spam.ideal()
+    group = gateset.ideal
+    ptms = gateset.imperfect_stack()
+    products = sequences[:, 0].copy()
+    for t in range(1, sequences.shape[1]):
+        products = group.cayley[sequences[:, t], products]
+    inversions = group.inverse[products]
+    states = np.broadcast_to(spam.state.coeffs, (len(sequences), 4)).copy()
+    for t in range(sequences.shape[1]):
+        states = np.matmul(ptms[sequences[:, t]], states[:, :, None])[:, :, 0]
+    states = np.matmul(ptms[inversions], states[:, :, None])[:, :, 0]
+    return states @ spam.effect.coeffs
+
+
+@pytest.fixture(scope="session")
+def reference_survivals():
+    return _reference_survivals
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from rblab import (
     gamma_and_r_gamma,
     m_alpha,
     predicted_decay,
+    repeat_datasets,
     run_rb,
     wallman_gauge,
 )
@@ -42,10 +45,8 @@ class DualEstimate:
     def __init__(self, gateset, seed, repeats=REPEATS, lengths=DEFAULT_LENGTHS, k=K_PER_LENGTH):
         self.fits_first = []
         self.fits_zeroth = []
-        for repeat in range(repeats):
-            child = np.random.SeedSequence([seed, repeat])
-            repeat_seed = int(child.generate_state(1, np.uint64)[0])
-            dataset = run_rb(gateset, RBConfig(lengths=lengths, k_per_length=k, seed=repeat_seed))
+        config = RBConfig(lengths=lengths, k_per_length=k, seed=seed, repeats=repeats)
+        for dataset in repeat_datasets(gateset, config):
             self.fits_first.append(fit_decay(dataset, model="first"))
             self.fits_zeroth.append(fit_decay(dataset, model="zeroth"))
 
@@ -133,34 +134,20 @@ def test_criterion_4_gate_independent_exactness(depolarizing_gateset, depolarizi
     )
 
 
-def _enumerated_population(gateset, m):
-    group = gateset.ideal
-    ptms = gateset.imperfect_stack()
-    spam = Spam.ideal()
-    if m == 1:
-        sequences = np.arange(24, dtype=np.intp)[:, None]
-    else:
-        sequences = np.array([[i, j] for i in range(24) for j in range(24)], dtype=np.intp)
-    products = sequences[:, 0].copy()
-    for t in range(1, m):
-        products = group.cayley[sequences[:, t], products]
-    inversions = group.inverse[products]
-    states = np.broadcast_to(spam.state.coeffs, (len(sequences), 4)).copy()
-    for t in range(m):
-        states = np.matmul(ptms[sequences[:, t]], states[:, :, None])[:, :, 0]
-    states = np.matmul(ptms[inversions], states[:, :, None])[:, :, 0]
-    values = states @ spam.effect.coeffs
+def _enumerated_population(gateset, m, reference_survivals):
+    sequences = np.array(list(product(range(24), repeat=m)), dtype=np.intp)
+    values = reference_survivals(gateset, sequences)
     return float(values.mean()), float(values.std(ddof=0))
 
 
-def test_criterion_5_oracle_equivalence(random_gatesets):
+def test_criterion_5_oracle_equivalence(random_gatesets, reference_survivals):
     for index, gateset in enumerate(random_gatesets):
         dataset = run_rb(gateset, RBConfig(lengths=(1, 2), k_per_length=K_PER_LENGTH, seed=600 + index))
         for m, sampled in zip(dataset.lengths, dataset.means):
             brute = brute_force_pm(gateset, m=m)
             _, exact = exact_decay(gateset, lengths=[m])
             assert abs(brute - exact[0]) < 1e-12, f"model {index}, m={m}: brute != exact"
-            pop_mean, pop_std = _enumerated_population(gateset, m)
+            pop_mean, pop_std = _enumerated_population(gateset, m, reference_survivals)
             assert abs(brute - pop_mean) < 1e-12
             band = 4.0 * pop_std / np.sqrt(K_PER_LENGTH)
             assert abs(sampled - pop_mean) <= band + 1e-15, (

@@ -43,6 +43,50 @@ def test_validate_rejects_unknown_keys():
     assert any("unknown key 'shots'" in p for p in problems)
 
 
+def _with(config, **sections):
+    out = json.loads(json.dumps(config))
+    for section, values in sections.items():
+        out[section] = dict(out.get(section, {}), **values)
+    return out
+
+
+BASE_SWEEP = {
+    "command": "sweep",
+    "seed": 5,
+    "rb": {"lengths": [1, 101, 201, 301, 401], "k_per_length": 20},
+    "sweep": {"parameter": "theta", "grid": [0.2, 0.3], "repeats": 2},
+}
+SWEEP_WITHOUT_REPEATS = dict(BASE_SWEEP, sweep={"parameter": "theta", "grid": [0.2, 0.3]})
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (_with(BASE_SIMULATE, rb={"repeats": 1}), "rb.repeats"),
+        (_with(SWEEP_WITHOUT_REPEATS, rb={"repeats": 1}), "sweep.repeats"),
+        (_with(BASE_SIMULATE, rb={"lengths": [1, 51, 101], "fit_model": "first"}), "rb.lengths"),
+        (_with(BASE_SIMULATE, rb={"lengths": {"start": 1, "stop": 201, "step": 0}}), "rb.lengths"),
+        (_with(BASE_SIMULATE, rb={"lengths": {"start": 0, "stop": 201, "step": 10}}), "rb.lengths"),
+        (_with(BASE_SIMULATE, rb={"lengths": {"start": 301, "stop": 201, "step": 10}}), "rb.lengths"),
+        (_with(BASE_SIMULATE, theory={"lengths": {"start": 1, "stop": 201, "step": 0}}), "theory.lengths"),
+    ],
+    ids=["simulate-one-repeat", "sweep-one-repeat", "too-few-lengths-for-fit", "zero-step",
+         "zero-start", "empty-range", "theory-zero-step"],
+)
+def test_validate_rejects_configs_that_cannot_run(tmp_path, capsys, config, field):
+    assert any(p.startswith(field) for p in validate(config)), validate(config)
+    path = _write_config(tmp_path, config)
+    assert main(["--config", str(path), "--validate-only"]) == 2
+    assert field in capsys.readouterr().out
+
+
+def test_validate_accepts_configs_that_run():
+    assert validate(BASE_SWEEP) == []
+    assert validate(_with(BASE_SIMULATE, rb={"lengths": [1, 51, 101], "fit_model": "zeroth"})) == []
+    assert validate(_with(BASE_SWEEP, rb={"repeats": 1})) == []
+    assert validate(dict(_with(BASE_SIMULATE, rb={"repeats": 1}), command="theory")) == []
+
+
 def test_validate_only_exit_codes(tmp_path, capsys):
     good = _write_config(tmp_path, BASE_SIMULATE, "good.json")
     assert main(["--config", str(good), "--validate-only"]) == 0
@@ -102,13 +146,7 @@ def test_theory_command_outputs(tmp_path):
 
 
 def test_sweep_command_outputs(tmp_path):
-    config = {
-        "command": "sweep",
-        "seed": 5,
-        "rb": {"lengths": [1, 101, 201, 301, 401], "k_per_length": 20},
-        "sweep": {"parameter": "theta", "grid": [0.2, 0.3], "repeats": 2},
-    }
-    path = _write_config(tmp_path, config)
+    path = _write_config(tmp_path, BASE_SWEEP)
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()

@@ -16,17 +16,11 @@ from rblab import (
     epsilon_min_search,
     gamma_and_r_gamma,
     m_alpha,
+    survival_probability,
     wallman_gauge,
 )
 from rblab.clifford import error_maps
 from rblab.superop import rotation_channel
-
-
-def _random_circuit_probability(gateset, spam, indices):
-    coeffs = spam.state.coeffs
-    for idx in indices:
-        coeffs = gateset.imperfect[idx].ptm @ coeffs
-    return float(spam.effect.coeffs @ coeffs)
 
 
 def test_gauge_transform_validation():
@@ -55,8 +49,8 @@ def test_gauge_preserves_circuit_probabilities(coherent_gateset):
         spam_t = apply_gauge(spam, transform)
         for _ in range(100):
             indices = rng.integers(0, 24, size=rng.integers(1, 6))
-            p = _random_circuit_probability(coherent_gateset, spam, indices)
-            q = _random_circuit_probability(transformed, spam_t, indices)
+            p = survival_probability(coherent_gateset, indices, spam)
+            q = survival_probability(transformed, indices, spam_t)
             worst = max(worst, abs(p - q))
     assert worst < 1e-10
 

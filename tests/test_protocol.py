@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from rblab import (
     RBDataset,
     Spam,
     build_gateset,
+    circuit_survivals,
     estimate_r,
     fit_decay,
+    repeat_datasets,
     run_rb,
     sample_rb_sequence,
+    sequence_inversions,
     survival_probability,
 )
 from rblab.protocol import FitError
@@ -37,10 +42,9 @@ def test_sampled_sequences_invert_to_identity(group):
     rng = np.random.default_rng(4)
     for m in (1, 2, 5, 20):
         indices, inversion = sample_rb_sequence(group, m, rng)
-        product = int(indices[0])
-        for idx in indices[1:]:
-            product = int(group.cayley[idx, product])
-        assert group.cayley[inversion, product] == group.identity_index
+        # exact integer PTMs: the applied-order product is checked without the tables
+        ptms = [group.elements[i].ptm for i in (*indices, inversion)]
+        assert np.array_equal(np.linalg.multi_dot(ptms[::-1]), np.eye(4))
 
 
 def test_identity_sequence_inverts_to_identity(group):
@@ -152,20 +156,22 @@ def test_run_rb_sampling_band_against_enumeration(coherent_gateset, group):
     config = RBConfig(lengths=(1, 2), k_per_length=500, seed=21)
     dataset = run_rb(coherent_gateset, config)
     for m, sampled_mean in zip(dataset.lengths, dataset.means):
-        population = []
-        if m == 1:
-            seqs = [[i] for i in range(24)]
-        else:
-            seqs = [[i, j] for i in range(24) for j in range(24)]
-        for seq in seqs:
-            product = seq[0]
-            for idx in seq[1:]:
-                product = int(group.cayley[idx, product])
-            full = list(seq) + [int(group.inverse[product])]
-            population.append(survival_probability(coherent_gateset, full))
-        population = np.array(population)
+        seqs = np.array(list(product(range(24), repeat=m)), dtype=np.intp)
+        circuits = np.column_stack([seqs, sequence_inversions(group, seqs)])
+        population = circuit_survivals(coherent_gateset.imperfect_stack(), circuits, Spam.ideal())
         band = 4.0 * population.std(ddof=0) / np.sqrt(config.k_per_length)
         assert abs(sampled_mean - population.mean()) <= band + 1e-15
+
+
+@pytest.mark.parametrize("gateset_name", ["coherent_gateset", "general_gateset"])
+def test_run_rb_matches_reference_loop_bitwise(gateset_name, request, reference_survivals):
+    gateset = request.getfixturevalue(gateset_name)
+    config = RBConfig(lengths=(1, 2, 51, 2001), k_per_length=500, seed=0)
+    dataset = run_rb(gateset, config)
+    for length_index, (m, probs) in enumerate(zip(config.lengths, dataset.survivals)):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, length_index]))
+        sequences = rng.integers(0, 24, size=(config.k_per_length, m))
+        assert np.array_equal(probs, reference_survivals(gateset, sequences)), f"m = {m}"
 
 
 def test_dataset_validation_and_csv(tmp_path):
@@ -247,6 +253,14 @@ def test_estimate_r_gate_independent(depolarizing_gateset):
     assert abs(estimate.r_mean - 0.005) < 1e-6
     assert estimate.r_std < 1e-6
     assert len(estimate.fits) == 4
+
+
+def test_estimate_r_fits_the_repeat_datasets(coherent_gateset):
+    config = RBConfig(lengths=(1, 51, 101, 151, 201), k_per_length=20, seed=57, repeats=3)
+    estimate = estimate_r(coherent_gateset, config, model="zeroth")
+    expected = tuple(fit_decay(d, model="zeroth") for d in repeat_datasets(coherent_gateset, config))
+    assert len(expected) == config.repeats
+    assert estimate.fits == expected
 
 
 def test_estimate_r_requires_repeats():
