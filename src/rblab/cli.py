@@ -119,8 +119,8 @@ def validate(config: dict) -> list[str]:
         problems.extend(length_problems)
         if command in ("simulate", "sweep") and fit_model and not length_problems:
             needed = protocol.FIT_PARAMETERS[fit_model]
-            if len(_resolve_lengths(rb.get("lengths"))) < needed:
-                problems.append(f"rb.lengths: the {fit_model}-order fit needs at least {needed} lengths")
+            if len(np.unique(_resolve_lengths(rb.get("lengths")))) < needed:
+                problems.append(f"rb.lengths: the {fit_model}-order fit needs at least {needed} distinct lengths")
 
     theory_cfg = config.get("theory", {})
     if not isinstance(theory_cfg, dict):

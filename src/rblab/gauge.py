@@ -19,6 +19,7 @@ from scipy import optimize
 from .clifford import GateSet
 from .protocol import Spam
 from .superop import (
+    PTM_TO_CHOI,
     Effect,
     State,
     Superoperator,
@@ -210,11 +211,8 @@ def epsilon_min_search(
     at the input representation and only improves, and more restarts can
     only lower it.
     """
-    from .superop import _ptm_to_choi_matrix
-
     tilde = gateset.imperfect_stack()
     ideal_inv = np.stack([np.linalg.inv(e.ptm) for e in gateset.ideal.elements])
-    ptm_to_choi = _ptm_to_choi_matrix()
 
     def evaluate(params: np.ndarray):
         """(epsilon, min Choi eigenvalue) for the gauge at params, or None."""
@@ -229,7 +227,7 @@ def epsilon_min_search(
         gates = m @ tilde @ m_inv
         traces = np.einsum("nij,nji->n", gates, ideal_inv)
         eps = float(np.mean((4.0 - traces) / 6.0))
-        chois = (gates.reshape(24, 16) @ ptm_to_choi.T).reshape(24, 4, 4)
+        chois = (gates.reshape(24, 16) @ PTM_TO_CHOI.T).reshape(24, 4, 4)
         eigs = np.linalg.eigvalsh(0.5 * (chois + chois.conj().transpose(0, 2, 1)))
         return eps, float(eigs[:, 0].min())
 

@@ -311,7 +311,7 @@ def fit_decay(dataset: RBDataset, model: str = "first", dim: int = 2) -> FitResu
     if model not in FIT_PARAMETERS:
         raise ValueError("model must be 'zeroth' or 'first'")
     n_params = FIT_PARAMETERS[model]
-    if len(dataset.lengths) < n_params:
+    if len(np.unique(dataset.lengths)) < n_params:
         raise ValueError(f"{model}-order fit needs at least {n_params} distinct lengths")
 
     lengths = np.asarray(dataset.lengths, dtype=float)

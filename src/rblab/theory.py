@@ -22,7 +22,7 @@ import numpy as np
 
 from .clifford import GateSet, average_error_map, error_maps
 from .protocol import Spam, circuit_survivals, sequence_inversions
-from .superop import diamond_distance, vec, unvec
+from .superop import diamond_bracket, vec, unvec
 
 __all__ = [
     "RMatrix",
@@ -97,10 +97,17 @@ class GammaResult:
 @dataclass(frozen=True)
 class DeltaBound:
     """delta_diamond = mean(per-gate diamond distances to the average error
-    map) / 2; bounds the approximate theory's error at every length."""
+    map) / 2; bounds the approximate theory's error at every length.
+
+    Each per-gate distance is bracketed by :func:`rblab.superop.diamond_bracket`:
+    `per_gate_distances` holds the lower ends (values attained by input
+    states) and `per_gate_upper` the certified upper ends, so the true
+    delta_diamond lies in [delta_diamond, per_gate_upper.mean() / 2].
+    """
 
     delta_diamond: float
     per_gate_distances: np.ndarray
+    per_gate_upper: np.ndarray
 
 
 def build_r_matrix(gateset: GateSet) -> RMatrix:
@@ -259,12 +266,15 @@ def l_spectral_decay(gateset: GateSet, spam: Spam | None = None) -> SpectralDeca
 def delta_diamond(gateset: GateSet, seed: int = 0) -> DeltaBound:
     """Half the average diamond distance between each gate's error map and
     the average error map."""
-    maps = error_maps(gateset)
     avg = average_error_map(gateset)
-    distances = np.array(
-        [diamond_distance(m, avg, seed=seed + i) for i, m in enumerate(maps)]
+    brackets = np.array(
+        [diamond_bracket(m, avg, seed=seed + i) for i, m in enumerate(error_maps(gateset))]
     )
-    return DeltaBound(delta_diamond=float(distances.mean() / 2.0), per_gate_distances=distances)
+    return DeltaBound(
+        delta_diamond=float(brackets[:, 0].mean() / 2.0),
+        per_gate_distances=brackets[:, 0],
+        per_gate_upper=brackets[:, 1],
+    )
 
 
 def brute_force_pm(gateset: GateSet, spam: Spam | None = None, m: int = 1) -> float:

@@ -11,6 +11,7 @@ from rblab import (
     compile_cliffords,
     generate_clifford_group,
 )
+from rblab.superop import pauli_basis
 
 
 def _reference_survivals(gateset, sequences, spam=None):
@@ -34,6 +35,31 @@ def _reference_survivals(gateset, sequences, spam=None):
 @pytest.fixture(scope="session")
 def reference_survivals():
     return _reference_survivals
+
+
+def _reference_ptm_to_choi():
+    """16x16 map from flattened one-qubit PTMs to flattened Choi matrices,
+    built column by column from the action of each unit-entry PTM on the
+    matrix units B_ik, as an independent check of `rblab.superop.PTM_TO_CHOI`."""
+    basis = pauli_basis(2)
+    columns = []
+    for index in range(16):
+        ptm = np.zeros((4, 4))
+        ptm.flat[index] = 1.0
+        # coefficient of B_ik in front of basis element j: Tr[P_j B_ik] = P_j[k, i]
+        out_coeffs = np.einsum("aj,jik->aik", ptm, basis.transpose(0, 2, 1))
+        action = np.einsum("aik,apq->pqik", out_coeffs, basis)  # <p| S(B_ik) |q>
+        chi = np.zeros((4, 4), dtype=complex)
+        for i in range(2):
+            for k in range(2):
+                chi[2 * i:2 * i + 2, 2 * k:2 * k + 2] = action[:, :, i, k]
+        columns.append(chi.reshape(-1))
+    return np.array(columns).T
+
+
+@pytest.fixture(scope="session")
+def reference_ptm_to_choi():
+    return _reference_ptm_to_choi()
 
 
 @pytest.fixture(scope="session")

@@ -65,12 +65,13 @@ SWEEP_WITHOUT_REPEATS = dict(BASE_SWEEP, sweep={"parameter": "theta", "grid": [0
         (_with(BASE_SIMULATE, rb={"repeats": 1}), "rb.repeats"),
         (_with(SWEEP_WITHOUT_REPEATS, rb={"repeats": 1}), "sweep.repeats"),
         (_with(BASE_SIMULATE, rb={"lengths": [1, 51, 101], "fit_model": "first"}), "rb.lengths"),
+        (_with(BASE_SIMULATE, rb={"lengths": [51, 51, 51, 51]}), "rb.lengths"),
         (_with(BASE_SIMULATE, rb={"lengths": {"start": 1, "stop": 201, "step": 0}}), "rb.lengths"),
         (_with(BASE_SIMULATE, rb={"lengths": {"start": 0, "stop": 201, "step": 10}}), "rb.lengths"),
         (_with(BASE_SIMULATE, rb={"lengths": {"start": 301, "stop": 201, "step": 10}}), "rb.lengths"),
         (_with(BASE_SIMULATE, theory={"lengths": {"start": 1, "stop": 201, "step": 0}}), "theory.lengths"),
     ],
-    ids=["simulate-one-repeat", "sweep-one-repeat", "too-few-lengths-for-fit", "zero-step",
+    ids=["simulate-one-repeat", "sweep-one-repeat", "too-few-lengths-for-fit", "repeated-lengths", "zero-step",
          "zero-start", "empty-range", "theory-zero-step"],
 )
 def test_validate_rejects_configs_that_cannot_run(tmp_path, capsys, config, field):

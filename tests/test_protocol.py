@@ -232,6 +232,8 @@ def test_fit_flags_no_decay():
 def test_fit_requires_enough_lengths():
     with pytest.raises(ValueError, match="at least"):
         fit_decay(_dataset_from_means([1, 2, 3], [0.9, 0.8, 0.7]), model="first")
+    with pytest.raises(ValueError, match="at least 3 distinct"):
+        fit_decay(_dataset_from_means([51, 51, 51, 51], [0.6, 0.5, 0.55, 0.45]), model="zeroth")
     with pytest.raises(ValueError, match="'zeroth' or 'first'"):
         fit_decay(_dataset_from_means([1, 2, 3, 4], [0.9, 0.8, 0.7, 0.6]), model="second")
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import rblab.superop
 from rblab import (
     Effect,
     State,
@@ -11,6 +14,7 @@ from rblab import (
     choi_eigenvalues,
     compose,
     depolarizing_channel,
+    diamond_bracket,
     diamond_distance,
     identity_channel,
     is_cp,
@@ -20,7 +24,7 @@ from rblab import (
     rotation_channel,
     zero_channel,
 )
-from rblab.superop import unvec, vec
+from rblab.superop import PTM_TO_CHOI, pauli_basis, unvec, vec
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -120,6 +124,10 @@ def test_choi_of_identity_and_depolarizing():
 
     for ch in (identity_channel(), depolarizing_channel(0.7), rotation_channel(Y_AXIS, 0.4)):
         assert abs(np.trace(to_choi(ch).entries) - 2.0) < 1e-12
+
+
+def test_ptm_to_choi_matches_matrix_unit_construction(reference_ptm_to_choi):
+    assert np.array_equal(PTM_TO_CHOI, reference_ptm_to_choi)
 
 
 def test_cp_tp_predicates():
@@ -292,3 +300,70 @@ def test_diamond_measurement_bound():
             born_probability(effect, a, state) - born_probability(effect, b, state)
         )
         assert lhs <= diamond_distance(a, b, seed=trial) + 1e-6
+
+
+def test_diamond_bracket_polishes_amplitude_damping(monkeypatch):
+    gamma = 0.3
+    damping = Superoperator(
+        [[1, 0, 0, 0], [0, np.sqrt(1 - gamma), 0, 0], [0, 0, np.sqrt(1 - gamma), 0], [gamma, 0, 0, 1 - gamma]]
+    )
+    searches = []
+    minimize = rblab.superop.optimize.minimize
+
+    def spy(*args, **kwargs):
+        searches.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(rblab.superop.optimize, "minimize", spy)
+    lower, upper = diamond_bracket(damping, identity_channel())
+    assert len(searches) == 1, "a non-unital difference should take the polish path"
+    oracle = _grid_oracle_diamond(damping, identity_channel())
+    assert abs(lower - oracle) < 1e-4
+    assert upper >= oracle - 1e-12
+
+
+def _channel_from_kraus(kraus) -> Superoperator:
+    basis = pauli_basis(2)
+    ptm = sum(np.einsum("iab,bc,jcd,da->ij", basis, k, basis, k.conj().T) for k in kraus)
+    return Superoperator(ptm.real)
+
+
+@st.composite
+def _kraus_channels(draw):
+    """CPTP maps from two Kraus operators G_i M^(-1/2), M = sum G_i^dag G_i;
+    generically not unital."""
+    parts = draw(arrays(np.float64, (2, 2, 2, 2), elements=st.floats(-1.0, 1.0)))
+    g = parts[..., 0] + 1j * parts[..., 1]
+    w, v = np.linalg.eigh(sum(k.conj().T @ k for k in g))
+    assume(w[0] > 1e-2)
+    return _channel_from_kraus(g @ ((v / np.sqrt(w)) @ v.conj().T))
+
+
+@st.composite
+def _unital_channels(draw):
+    """Mixtures of two rotation channels."""
+    axes = draw(arrays(np.float64, (2, 3), elements=st.floats(-1.0, 1.0)))
+    assume(np.all(np.linalg.norm(axes, axis=1) > 1e-3))
+    angles = draw(arrays(np.float64, 2, elements=st.floats(0.0, 2.0 * np.pi)))
+    weight = draw(st.floats(0.0, 1.0))
+    a, b = (rotation_channel(axis / np.linalg.norm(axis), angle) for axis, angle in zip(axes, angles))
+    return Superoperator(weight * a.ptm + (1 - weight) * b.ptm)
+
+
+_CHANNELS = st.one_of(_kraus_channels(), _unital_channels())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=_CHANNELS, b=_CHANNELS)
+def test_diamond_bracket_properties(a, b):
+    lower, upper = diamond_bracket(a, b)
+    assert lower <= upper + 1e-12
+    state, effect = State.z_plus(), Effect.z_plus()
+    measured = 2.0 * abs(born_probability(effect, a, state) - born_probability(effect, b, state))
+    assert lower >= measured - 1e-12
+    swapped_lower, swapped_upper = diamond_bracket(b, a)
+    scale = max(1.0, upper)
+    assert abs(swapped_upper - upper) <= 1e-12 * scale
+    # the two orders polish from the same start with the same seed, but their
+    # rounding differs, so the searches may stop at slightly different points
+    assert abs(swapped_lower - lower) <= 1e-10 * scale

@@ -166,6 +166,19 @@ def test_delta_diamond_bounds_model_error(coherent_gateset):
         assert abs(ex - pred) <= bound.delta_diamond
 
 
+def test_delta_diamond_brackets_meet_on_random_error_maps(random_gatesets):
+    for index, gateset in enumerate(random_gatesets):
+        bound = delta_diamond(gateset, seed=700 + index)
+        assert bound.per_gate_upper.shape == (24,)
+        # both ends are computed separately, so either may lead by rounding
+        gap = np.abs(bound.per_gate_upper - bound.per_gate_distances)
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, bound.per_gate_upper)), f"model {index}"
+
+
+def test_delta_diamond_of_the_general_model(general_gateset):
+    assert abs(delta_diamond(general_gateset).delta_diamond - 0.04461674949387698) < 1e-12
+
+
 def test_exact_decay_exponential_for_long_sequences(coherent_gateset):
     from rblab import RBDataset, fit_decay
 
