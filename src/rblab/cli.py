@@ -87,7 +87,7 @@ def validate(config: dict) -> list[str]:
     command = config.get("command")
     if command not in _COMMANDS:
         problems.append(f"command: must be one of {list(_COMMANDS)}, got {command!r}")
-    if "seed" in config and not isinstance(config["seed"], int):
+    if "seed" in config and not _is_int(config["seed"]):
         problems.append("seed: must be an integer")
     if "output_dir" in config and not isinstance(config["output_dir"], str):
         problems.append("output_dir: must be a string")
@@ -105,9 +105,9 @@ def validate(config: dict) -> list[str]:
         for key in rb:
             if key not in _RB_KEYS:
                 problems.append(f"rb: unknown key {key!r}")
-        if "k_per_length" in rb and (not isinstance(rb["k_per_length"], int) or rb["k_per_length"] < 1):
+        if "k_per_length" in rb and (not _is_int(rb["k_per_length"]) or rb["k_per_length"] < 1):
             problems.append("rb.k_per_length: must be an integer >= 1")
-        if "repeats" in rb and (not isinstance(rb["repeats"], int) or rb["repeats"] < 1):
+        if "repeats" in rb and (not _is_int(rb["repeats"]) or rb["repeats"] < 1):
             problems.append("rb.repeats: must be an integer >= 1")
         elif command == "simulate" and rb.get("repeats", protocol.RBConfig.repeats) < 2:
             problems.append("rb.repeats: command 'simulate' needs at least 2 repeats")
@@ -143,9 +143,9 @@ def validate(config: dict) -> list[str]:
             if sweep.get("parameter", "theta") != "theta":
                 problems.append("sweep.parameter: only 'theta' is supported")
             grid = sweep.get("grid")
-            if not isinstance(grid, list) or not grid or not all(isinstance(x, (int, float)) for x in grid):
+            if not isinstance(grid, list) or not grid or not all(_is_number(x) for x in grid):
                 problems.append("sweep.grid: must be a non-empty list of numbers")
-            if "repeats" in sweep and (not isinstance(sweep["repeats"], int) or sweep["repeats"] < 2):
+            if "repeats" in sweep and (not _is_int(sweep["repeats"]) or sweep["repeats"] < 2):
                 problems.append("sweep.repeats: must be an integer >= 2")
             elif "repeats" not in sweep and isinstance(rb, dict) and rb.get("repeats") == 1:
                 problems.append("sweep.repeats: required when rb.repeats is 1 (the sweep needs at least 2)")
@@ -159,14 +159,18 @@ def validate(config: dict) -> list[str]:
                 if key not in _COUNTER_KEYS:
                     problems.append(f"counterexample: unknown key {key!r}")
             lam = counter.get("lambda")
-            if not isinstance(lam, (int, float)) or not (0.0 <= lam < 1.0):
+            if not _is_number(lam) or not (0.0 <= lam < 1.0):
                 problems.append("counterexample.lambda: must be a number in [0, 1)")
             grid = counter.get("alpha_grid")
             if isinstance(grid, dict):
                 if set(grid) != {"start", "stop", "num"}:
                     problems.append("counterexample.alpha_grid: object form needs start, stop, num")
-            elif grid is not None and not isinstance(grid, list):
-                problems.append("counterexample.alpha_grid: must be a list or {start, stop, num}")
+                elif not all(_is_number(grid[k]) and grid[k] > 0 for k in ("start", "stop")):
+                    problems.append("counterexample.alpha_grid: start and stop must be numbers > 0")
+                elif not _is_int(grid["num"]) or grid["num"] < 1:
+                    problems.append("counterexample.alpha_grid: num must be an integer >= 1")
+            elif grid is not None and not (isinstance(grid, list) and all(_is_number(a) and a > 0 for a in grid)):
+                problems.append("counterexample.alpha_grid: must be a list of numbers > 0 or {start, stop, num}")
 
     gauge_cfg = config.get("gauge", {})
     if not isinstance(gauge_cfg, dict):
@@ -175,8 +179,19 @@ def validate(config: dict) -> list[str]:
         for key in gauge_cfg:
             if key not in _GAUGE_KEYS:
                 problems.append(f"gauge: unknown key {key!r}")
+        if "scale" in gauge_cfg and not _is_number(gauge_cfg["scale"]):
+            problems.append("gauge.scale: must be a number")
 
     return problems
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans load as bool, a subclass of int, and are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 def _validate_model(model) -> list[str]:
@@ -190,14 +205,16 @@ def _validate_model(model) -> list[str]:
     if name not in _MODEL_NAMES:
         problems.append(f"error_model.name: unknown model {name!r}, expected one of {list(_MODEL_NAMES)}")
         return problems
-    if name == "coherent_z" and not isinstance(model.get("theta"), (int, float)):
+    if name == "coherent_z" and not _is_number(model.get("theta")):
         problems.append("error_model.theta: required number for coherent_z")
     if name == "general":
         for key in ("rotation_x", "rotation_y"):
             vec = model.get(key)
-            if not (isinstance(vec, list) and len(vec) == 3 and all(isinstance(x, (int, float)) for x in vec)):
+            if not (isinstance(vec, list) and len(vec) == 3 and all(_is_number(x) for x in vec)):
                 problems.append(f"error_model.{key}: required 3-vector for general")
-    if name == "depolarizing" and not isinstance(model.get("lambda"), (int, float)):
+        if "lambda" in model and not _is_number(model["lambda"]):
+            problems.append("error_model.lambda: must be a number")
+    if name == "depolarizing" and not _is_number(model.get("lambda")):
         problems.append("error_model.lambda: required number for depolarizing")
     if name == "gate_independent" and not _is_matrix(model.get("ptm")):
         problems.append("error_model.ptm: required 4x4 matrix for gate_independent")
@@ -210,7 +227,7 @@ def _is_matrix(value) -> bool:
     return (
         isinstance(value, list)
         and len(value) == 4
-        and all(isinstance(row, list) and len(row) == 4 for row in value)
+        and all(isinstance(row, list) and len(row) == 4 and all(_is_number(x) for x in row) for row in value)
     )
 
 
@@ -219,12 +236,12 @@ def _validate_lengths(value, label: str) -> list[str]:
         if set(value) != {"start", "stop", "step"}:
             return [f"{label}: object form needs start, stop, step"]
         start, stop, step = value["start"], value["stop"], value["step"]
-        if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (start, step)):
+        if not all(_is_int(x) and x >= 1 for x in (start, step)):
             return [f"{label}: start and step must be integers >= 1"]
-        if not isinstance(stop, (int, float)) or isinstance(stop, bool) or stop < start:
+        if not _is_number(stop) or stop < start:
             return [f"{label}: stop must be a number >= start"]
         return []
-    if isinstance(value, list) and value and all(isinstance(m, int) and m >= 1 for m in value):
+    if isinstance(value, list) and value and all(_is_int(m) and m >= 1 for m in value):
         return []
     return [f"{label}: must be a list of integers >= 1 or {{start, stop, step}}"]
 

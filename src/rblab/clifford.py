@@ -91,10 +91,6 @@ class CliffordGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def ptm_stack(self) -> np.ndarray:
-        """All element PTMs as one (|C|, 4, 4) array."""
-        return np.stack([e.ptm for e in self.elements])
-
 
 @dataclass(frozen=True)
 class CompilationTable:
@@ -102,9 +98,6 @@ class CompilationTable:
     empty word (simulations skip straight to the next gate)."""
 
     words: tuple[tuple[str, ...], ...]
-
-    def max_length(self) -> int:
-        return max(len(w) for w in self.words)
 
 
 @lru_cache(maxsize=1)

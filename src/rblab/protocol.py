@@ -299,7 +299,7 @@ def _linear_solve_for_p(lengths: np.ndarray, means: np.ndarray, p: float, first_
     return coeffs, design @ coeffs - means
 
 
-def fit_decay(dataset: RBDataset, model: str = "first", dim: int = 2) -> FitResult:
+def fit_decay(dataset: RBDataset, model: str = "first") -> FitResult:
     """Unweighted least squares fit of the means to A + (B + C m) p^m.
 
     The zeroth-order model fixes C = 0. p is kept inside (0, 1) by a logistic
@@ -372,7 +372,7 @@ def fit_decay(dataset: RBDataset, model: str = "first", dim: int = 2) -> FitResu
     flags = []
     if best_q >= q_cap - 1e-6 or best_q <= q_floor + 1e-6:
         flags.append("p-at-bound")
-    r_hat = (dim - 1) * (1.0 - p) / dim
+    r_hat = (1.0 - p) / 2
     return FitResult(
         model=model,
         a=a,

@@ -11,8 +11,9 @@ Conventions, fixed package-wide:
 * Matrices are vectorized by column stacking, so vec(A X B) =
   (B^T kron A) vec(X).
 
-Interfaces carry the Hilbert-space dimension d so that they generalize, but
-only d = 2 (one qubit) is constructed and exercised here.
+The package is one qubit only: the Hilbert-space dimension is 2 throughout,
+so every PTM is 4x4 and every state or effect a 4-vector, and the types
+reject any other shape.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ __all__ = [
     "Superoperator",
     "State",
     "Effect",
-    "ChoiMatrix",
-    "pauli_basis",
+    "PAULI_BASIS",
     "vec",
     "unvec",
     "rotation_channel",
@@ -58,16 +58,10 @@ _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SIGMAS = np.stack([_SIGMA_X, _SIGMA_Y, _SIGMA_Z])
 
-
-def pauli_basis(dim: int = 2) -> np.ndarray:
-    """Normalized Hermitian operator basis, shape (dim**2, dim, dim).
-
-    For dim = 2 this is {I, X, Y, Z} / sqrt(2), orthonormal under the
-    Hilbert-Schmidt inner product.
-    """
-    if dim != 2:
-        raise NotImplementedError("only the one-qubit basis is constructed")
-    return np.stack([np.eye(2, dtype=complex), _SIGMA_X, _SIGMA_Y, _SIGMA_Z]) / np.sqrt(2.0)
+# {I, X, Y, Z} / sqrt(2), shape (4, 2, 2): orthonormal under the
+# Hilbert-Schmidt inner product.
+PAULI_BASIS = np.stack([np.eye(2, dtype=complex), _SIGMA_X, _SIGMA_Y, _SIGMA_Z]) / np.sqrt(2.0)
+PAULI_BASIS.setflags(write=False)
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -75,45 +69,47 @@ def vec(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix).T.reshape(-1)
 
 
-def unvec(vector: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    vector = np.asarray(vector)
-    if dim is None:
-        dim = int(round(np.sqrt(vector.size)))
-    return vector.reshape(dim, dim).T
+def unvec(vector: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec` for a 4x4 matrix (a vectorized PTM)."""
+    return np.asarray(vector).reshape(4, 4).T
 
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A linear map on operators, stored as its real PTM."""
+    """A linear map on one-qubit operators, stored as its real 4x4 PTM."""
 
     ptm: np.ndarray
 
     def __post_init__(self):
         ptm = np.array(self.ptm, dtype=float)
-        if ptm.ndim != 2 or ptm.shape[0] != ptm.shape[1]:
-            raise ValueError(f"PTM must be square, got shape {ptm.shape}")
-        d = int(round(np.sqrt(ptm.shape[0])))
-        if d * d != ptm.shape[0]:
-            raise ValueError(f"PTM side {ptm.shape[0]} is not a perfect square")
+        if ptm.shape != (4, 4):
+            raise ValueError(f"PTM must be 4x4 (dimension 2), got shape {ptm.shape}")
         ptm.setflags(write=False)
         object.__setattr__(self, "ptm", ptm)
 
-    @property
-    def dim(self) -> int:
-        """Hilbert-space dimension d (PTM is d**2 by d**2)."""
-        return int(round(np.sqrt(self.ptm.shape[0])))
-
     def __matmul__(self, other: "Superoperator") -> "Superoperator":
         """Composition: (A @ B) applies B first, then A."""
-        if self.ptm.shape != other.ptm.shape:
-            raise ValueError("dimension mismatch in composition")
         return Superoperator(self.ptm @ other.ptm)
 
-    def apply(self, state: "State") -> "State":
-        if state.coeffs.shape[0] != self.ptm.shape[0]:
-            raise ValueError("dimension mismatch applying channel to state")
-        return State(self.ptm @ state.coeffs, validate=False)
+
+def _coeff_vector(coeffs) -> np.ndarray:
+    """Read-only float copy of a Pauli-basis 4-vector."""
+    coeffs = np.array(coeffs, dtype=float)
+    if coeffs.shape != (4,):
+        raise ValueError(f"coefficient vector must have 4 entries (dimension 2), got shape {coeffs.shape}")
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def _coeffs_of_operator(op: np.ndarray, what: str) -> np.ndarray:
+    """Real Pauli-basis coefficients Tr[P_j op] of a Hermitian 2x2 operator."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"{what} must be 2x2 (dimension 2), got shape {op.shape}")
+    coeffs = np.einsum("jab,ba->j", PAULI_BASIS, op)
+    if np.max(np.abs(coeffs.imag)) > STRUCTURAL_TOL:
+        raise ValueError(f"{what} is not Hermitian")
+    return coeffs.real
 
 
 @dataclass(frozen=True)
@@ -124,14 +120,12 @@ class State:
     validate: bool = True
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float)
-        coeffs.setflags(write=False)
+        coeffs = _coeff_vector(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if self.validate:
-            d = int(round(np.sqrt(coeffs.shape[0])))
-            if abs(coeffs[0] - 1.0 / np.sqrt(d)) > STRUCTURAL_TOL:
-                raise ValueError("state is not unit trace (coefficient 0 must be 1/sqrt(d))")
-            if d == 2 and np.linalg.norm(coeffs[1:]) > 1.0 / np.sqrt(2.0) + STRUCTURAL_TOL:
+            if abs(coeffs[0] - 1.0 / np.sqrt(2.0)) > STRUCTURAL_TOL:
+                raise ValueError("state is not unit trace (coefficient 0 must be 1/sqrt(2))")
+            if np.linalg.norm(coeffs[1:]) > 1.0 / np.sqrt(2.0) + STRUCTURAL_TOL:
                 raise ValueError("Bloch vector norm exceeds 1")
 
     @classmethod
@@ -141,11 +135,7 @@ class State:
 
     @classmethod
     def from_density_matrix(cls, rho: np.ndarray) -> "State":
-        basis = pauli_basis(rho.shape[0])
-        coeffs = np.einsum("jab,ba->j", basis, np.asarray(rho, dtype=complex))
-        if np.max(np.abs(coeffs.imag)) > STRUCTURAL_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        return cls(coeffs.real)
+        return cls(_coeffs_of_operator(rho, "density matrix"))
 
 
 @dataclass(frozen=True)
@@ -156,12 +146,10 @@ class Effect:
     validate: bool = True
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float)
-        coeffs.setflags(write=False)
+        coeffs = _coeff_vector(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-        if self.validate and coeffs.shape[0] == 4:
-            op = _operator_from_coeffs(coeffs)
-            ev = np.linalg.eigvalsh(op)
+        if self.validate:
+            ev = np.linalg.eigvalsh(np.einsum("j,jab->ab", coeffs, PAULI_BASIS))
             if ev[0] < -STRUCTURAL_TOL or ev[-1] > 1.0 + STRUCTURAL_TOL:
                 raise ValueError("effect eigenvalues must lie in [0, 1]")
 
@@ -172,37 +160,14 @@ class Effect:
 
     @classmethod
     def from_operator(cls, op: np.ndarray) -> "Effect":
-        basis = pauli_basis(op.shape[0])
-        coeffs = np.einsum("jab,ba->j", basis, np.asarray(op, dtype=complex))
-        if np.max(np.abs(coeffs.imag)) > STRUCTURAL_TOL:
-            raise ValueError("effect operator is not Hermitian")
-        return cls(coeffs.real)
-
-
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi matrix sum_ij B_ij (x) G(B_ij) over matrix units B_ij (unnormalized:
-    the identity channel has Choi trace d)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
-def _operator_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    basis = pauli_basis(int(round(np.sqrt(coeffs.shape[0]))))
-    return np.einsum("j,jab->ab", np.asarray(coeffs, dtype=float), basis)
+        return cls(_coeffs_of_operator(op, "effect operator"))
 
 
 def channel_from_unitary(u: np.ndarray) -> Superoperator:
     """PTM of the unitary conjugation rho -> U rho U^dagger."""
     u = np.asarray(u, dtype=complex)
-    basis = pauli_basis(u.shape[0])
     ud = u.conj().T
-    ptm = np.einsum("iab,bc,jcd,da->ij", basis, u, basis, ud)
+    ptm = np.einsum("iab,bc,jcd,da->ij", PAULI_BASIS, u, PAULI_BASIS, ud)
     return Superoperator(ptm.real)
 
 
@@ -221,27 +186,23 @@ def rotation_channel(axis: np.ndarray, angle: float) -> Superoperator:
     return channel_from_unitary(u)
 
 
-def depolarizing_channel(lam: float, dim: int = 2) -> Superoperator:
-    """Depolarizing channel rho -> (1 - lam) I/d + lam rho, PTM diag(1, lam, ..., lam)."""
-    lo = -1.0 / (dim * dim - 1.0)
-    if not (lo <= lam <= 1.0):
+def depolarizing_channel(lam: float) -> Superoperator:
+    """Depolarizing channel rho -> (1 - lam) I/2 + lam rho, PTM diag(1, lam, lam, lam)."""
+    if not (-1.0 / 3.0 <= lam <= 1.0):
         raise ValueError(
-            f"depolarizing parameter {lam} outside [{lo}, 1]: the minimal Choi "
-            "eigenvalue (1 - lam)/d - lam*(d - 1)/d or (1 + (d**2 - 1)*lam)/d "
-            "would be negative"
+            f"depolarizing parameter {lam} outside [-1/3, 1]: the minimal Choi "
+            "eigenvalue (1 - lam)/2 or (1 + 3 lam)/2 would be negative"
         )
-    diag = np.full(dim * dim, lam)
-    diag[0] = 1.0
-    return Superoperator(np.diag(diag))
+    return Superoperator(np.diag([1.0, lam, lam, lam]))
 
 
-def identity_channel(dim: int = 2) -> Superoperator:
-    return Superoperator(np.eye(dim * dim))
+def identity_channel() -> Superoperator:
+    return Superoperator(np.eye(4))
 
 
-def zero_channel(dim: int = 2) -> Superoperator:
+def zero_channel() -> Superoperator:
     """The map rho -> 0."""
-    return Superoperator(np.zeros((dim * dim, dim * dim)))
+    return Superoperator(np.zeros((4, 4)))
 
 
 def compose(*channels: Superoperator) -> Superoperator:
@@ -256,8 +217,6 @@ def compose(*channels: Superoperator) -> Superoperator:
 
 def born_probability(effect: Effect, channel: Superoperator, state: State) -> float:
     """Tr[E G(rho)] as a dot product in the Pauli basis."""
-    if effect.coeffs.shape[0] != channel.ptm.shape[0] or state.coeffs.shape[0] != channel.ptm.shape[0]:
-        raise ValueError("dimension mismatch in Born probability")
     return float(effect.coeffs @ (channel.ptm @ state.coeffs))
 
 
@@ -270,14 +229,15 @@ def born_probability(effect: Effect, channel: Superoperator, state: State) -> fl
 # (a, b): the map rho -> Tr[P_b rho] P_a, whose Choi matrix is P_b^T (x) P_a.
 # Stored column-major, so that products with it are summed in the order the
 # recorded golden outputs were computed in (bitwise equal Choi spectra).
-PTM_TO_CHOI = np.asfortranarray(np.einsum("jki,lab->iakblj", pauli_basis(2), pauli_basis(2)).reshape(16, 16))
+PTM_TO_CHOI = np.asfortranarray(np.einsum("jki,lab->iakblj", PAULI_BASIS, PAULI_BASIS).reshape(16, 16))
 PTM_TO_CHOI.setflags(write=False)
 
 
-def to_choi(s: Superoperator) -> ChoiMatrix:
-    if s.dim != 2:
-        raise NotImplementedError("Choi matrices are implemented for one qubit only")
-    return ChoiMatrix((PTM_TO_CHOI @ s.ptm.reshape(-1)).reshape(4, 4))
+def to_choi(s: Superoperator) -> np.ndarray:
+    """The 4x4 complex Choi matrix sum_ij B_ij (x) S(B_ij) over matrix units
+    B_ij, input factor first. It is unnormalized: the identity channel has
+    Choi trace 2."""
+    return (PTM_TO_CHOI @ s.ptm.reshape(-1)).reshape(4, 4)
 
 
 def choi_eigenvalues(s: Superoperator) -> np.ndarray:
@@ -286,7 +246,7 @@ def choi_eigenvalues(s: Superoperator) -> np.ndarray:
     Raises if the spectrum has non-negligible imaginary parts, which signals a
     map that is not Hermiticity preserving.
     """
-    chi = to_choi(s).entries
+    chi = to_choi(s)
     if np.max(np.abs(chi - chi.conj().T)) > EIGVAL_IMAG_TOL:
         ev = np.linalg.eigvals(chi)
         if np.max(np.abs(ev.imag)) > EIGVAL_IMAG_TOL:
@@ -316,7 +276,7 @@ def is_unital(s: Superoperator, tol: float = STRUCTURAL_TOL) -> bool:
 def is_unitary_channel(s: Superoperator, tol: float = STRUCTURAL_TOL) -> bool:
     """Unitary channels have orthogonal PTMs."""
     gram = s.ptm.T @ s.ptm
-    return bool(np.max(np.abs(gram - np.eye(gram.shape[0]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(4))) <= tol)
 
 
 # --------------------------------------------------------------------------
@@ -327,16 +287,15 @@ def is_unitary_channel(s: Superoperator, tol: float = STRUCTURAL_TOL) -> bool:
 def agi(g_tilde: Superoperator, g: Superoperator) -> float:
     """Average gate infidelity of g_tilde to the target g.
 
-    Computed as (d**2 - Tr(L)) / (d (d + 1)) with L = g_tilde g^{-1}, which
-    equals one minus the Haar-averaged state fidelity for unitary targets.
+    Computed as (4 - Tr(L)) / 6 with L = g_tilde g^{-1}, which equals one
+    minus the Haar-averaged state fidelity for unitary targets.
     """
-    d = g.dim
     try:
         g_inv = np.linalg.inv(g.ptm)
     except np.linalg.LinAlgError as exc:
         raise ValueError("target channel is singular") from exc
     trace = np.trace(g_tilde.ptm @ g_inv)
-    return float((d * d - trace) / (d * (d + 1)))
+    return float((4 - trace) / 6)
 
 
 def agi_haar_oracle(
@@ -350,10 +309,7 @@ def agi_haar_oracle(
     Haar-random pure states. Converges to agi() at rate O(1/sqrt(n_samples))
     for unitary targets.
     """
-    if g.dim != 2 or g_tilde.dim != 2:
-        raise NotImplementedError("Haar sampling is implemented for one qubit only")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    basis = pauli_basis(2)
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
@@ -361,7 +317,7 @@ def agi_haar_oracle(
         n = min(remaining, 1 << 17)
         z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        coeffs = np.einsum("ni,jik,nk->nj", z.conj(), basis, z).real
+        coeffs = np.einsum("ni,jik,nk->nj", z.conj(), PAULI_BASIS, z).real
         fvals = np.einsum("nj,nj->n", coeffs @ g_tilde.ptm.T, coeffs @ g.ptm.T)
         total += float(fvals.sum())
         total_sq += float((fvals * fvals).sum())
@@ -418,12 +374,10 @@ def diamond_bracket(a: Superoperator, b: Superoperator, seed: int = 0) -> tuple[
     meet on unital differences near the identity, such as the error maps of
     the gatesets studied here.
     """
-    if a.dim != 2 or b.dim != 2:
-        raise NotImplementedError("diamond distance is implemented for one qubit only")
     delta = Superoperator(a.ptm - b.ptm)
     if np.max(np.abs(delta.ptm)) < 1e-15:
         return 0.0, 0.0
-    choi = to_choi(delta).entries
+    choi = to_choi(delta)
     choi = 0.5 * (choi + choi.conj().T)
     w, v = np.linalg.eigh(choi)
     reduced = np.einsum("iaka->ik", ((v * np.abs(w)) @ v.conj().T).reshape(2, 2, 2, 2))

@@ -25,7 +25,6 @@ from .protocol import Spam, circuit_survivals, sequence_inversions
 from .superop import diamond_bracket, vec, unvec
 
 __all__ = [
-    "RMatrix",
     "SpectralDecay",
     "GammaResult",
     "DeltaBound",
@@ -43,39 +42,21 @@ _REALNESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class RMatrix:
-    """Sequence-averaging block matrix; block (k, j) is the imperfect
-    implementation of C_j^{-1} C_k, scaled by 1/|C|."""
-
-    matrix: np.ndarray
-    group_size: int
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-
-@dataclass(frozen=True)
 class SpectralDecay:
-    """Eigenvalues and SPAM-dependent weights of a decay generator.
-
-    For source "r_matrix" the prediction is sum_i weights_i * eig_i**(m+1);
-    for source "l_map" it is sum_i weights_i * eig_i**m. Weights are None
-    when the generator was numerically defective and the spectral form was
-    abandoned for iterated multiplication.
+    """Eigenvalues and SPAM-dependent weights of the sequence-averaging
+    matrix R; the prediction at length m is sum_i weights_i * eig_i**(m+1).
+    Weights are None when R was numerically defective and the spectral form
+    was abandoned for iterated multiplication.
     """
 
     eigenvalues: np.ndarray
     weights: np.ndarray | None
-    source: str
 
     def predict(self, lengths) -> np.ndarray:
         if self.weights is None:
             raise ValueError("no spectral weights available (defective generator)")
-        offset = 1 if self.source == "r_matrix" else 0
         values = np.array(
-            [np.sum(self.weights * self.eigenvalues ** (m + offset)) for m in np.asarray(lengths)]
+            [np.sum(self.weights * self.eigenvalues ** (m + 1)) for m in np.asarray(lengths)]
         )
         if np.max(np.abs(values.imag)) > _REALNESS_TOL:
             raise ValueError("spectral decay prediction has a non-real component")
@@ -110,7 +91,9 @@ class DeltaBound:
     per_gate_upper: np.ndarray
 
 
-def build_r_matrix(gateset: GateSet) -> RMatrix:
+def build_r_matrix(gateset: GateSet) -> np.ndarray:
+    """The 4|C| x 4|C| sequence-averaging block matrix R; block (k, j) is the
+    imperfect implementation of C_k C_j^{-1}, scaled by 1/|C|."""
     group = gateset.ideal
     size = len(group)
     blocks = np.zeros((4 * size, 4 * size))
@@ -121,7 +104,7 @@ def build_r_matrix(gateset: GateSet) -> RMatrix:
             # R^(m+1) telescope into exactly the self-inverting RB sequences
             idx = group.cayley[k, group.inverse[j]]
             blocks[4 * k:4 * k + 4, 4 * j:4 * j + 4] = gateset.imperfect[idx].ptm
-    return RMatrix(matrix=blocks / size, group_size=size)
+    return blocks / size
 
 
 def _spam_vectors(spam: Spam, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,20 +128,20 @@ def exact_decay(
     """
     spam = spam if spam is not None else Spam.ideal()
     lengths = np.asarray([int(m) for m in np.atleast_1d(lengths)])
-    r = build_r_matrix(gateset)
-    size = r.group_size
+    r_matrix = build_r_matrix(gateset)
+    size = len(gateset.ideal)
     eff, rho = _spam_vectors(spam, size)
 
-    eigvals, eigvecs = np.linalg.eig(r.matrix)
+    eigvals, eigvecs = np.linalg.eig(r_matrix)
     cond = np.linalg.cond(eigvecs)
     if cond < _EIG_COND_LIMIT:
         left = eff @ eigvecs
         right = np.linalg.solve(eigvecs, rho)
         weights = size * left * right
-        decay = SpectralDecay(eigenvalues=eigvals, weights=weights, source="r_matrix")
+        decay = SpectralDecay(eigenvalues=eigvals, weights=weights)
         return decay, decay.predict(lengths)
 
-    decay = SpectralDecay(eigenvalues=eigvals, weights=None, source="r_matrix")
+    decay = SpectralDecay(eigenvalues=eigvals, weights=None)
     values = np.empty(len(lengths), dtype=float)
     order = np.argsort(lengths)
     vec_state = rho.copy()
@@ -166,7 +149,7 @@ def exact_decay(
     for pos in order:
         target = int(lengths[pos]) + 1
         while power < target:
-            vec_state = r.matrix @ vec_state
+            vec_state = r_matrix @ vec_state
             power += 1
         values[pos] = size * float(eff @ vec_state)
     return decay, values
@@ -188,9 +171,9 @@ def build_l_map(gateset: GateSet, primed: bool = False) -> np.ndarray:
     return out / len(group)
 
 
-def gamma_and_r_gamma(l_matrix: np.ndarray, dim: int = 2) -> GammaResult:
+def gamma_and_r_gamma(l_matrix: np.ndarray) -> GammaResult:
     """Decay base gamma: the largest-modulus eigenvalue after the single
-    unit eigenvalue, which must be real; r_gamma = (d-1)(1-gamma)/d.
+    unit eigenvalue, which must be real; r_gamma = (1-gamma)/2.
 
     Degenerate unit eigenvalues or a complex gamma signal errors too large
     for the small-error theory and raise.
@@ -213,7 +196,7 @@ def gamma_and_r_gamma(l_matrix: np.ndarray, dim: int = 2) -> GammaResult:
     gamma_real = float(gamma.real)
     return GammaResult(
         gamma=gamma_real,
-        r_gamma=(dim - 1) * (1.0 - gamma_real) / dim,
+        r_gamma=(1.0 - gamma_real) / 2,
         subdominant_moduli=moduli,
     )
 
@@ -242,25 +225,6 @@ def predicted_decay(
             power += 1
         values[pos] = float(eff @ (lbar @ unvec(current) @ rho))
     return values
-
-
-def l_spectral_decay(gateset: GateSet, spam: Spam | None = None) -> SpectralDecay:
-    """Spectral form of the approximate decay (weights from the SPAM and the
-    average error map); None weights when the map is defective."""
-    spam = spam if spam is not None else Spam.ideal()
-    l_matrix = build_l_map(gateset)
-    lbar = average_error_map(gateset).ptm
-    eigvals, eigvecs = np.linalg.eig(l_matrix)
-    if np.linalg.cond(eigvecs) >= _EIG_COND_LIMIT:
-        return SpectralDecay(eigenvalues=eigvals, weights=None, source="l_map")
-    # w^T x = Tr(E Lbar unvec(x) rho) is linear in x
-    dual = np.array([
-        float(spam.effect.coeffs @ (lbar @ unvec(basis_vec) @ spam.state.coeffs))
-        for basis_vec in np.eye(16)
-    ])
-    left = dual @ eigvecs
-    right = np.linalg.solve(eigvecs, vec(np.eye(4)))
-    return SpectralDecay(eigenvalues=eigvals, weights=left * right, source="l_map")
 
 
 def delta_diamond(gateset: GateSet, seed: int = 0) -> DeltaBound:

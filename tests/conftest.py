@@ -11,7 +11,7 @@ from rblab import (
     compile_cliffords,
     generate_clifford_group,
 )
-from rblab.superop import pauli_basis
+from rblab.superop import PAULI_BASIS
 
 
 def _reference_survivals(gateset, sequences, spam=None):
@@ -41,7 +41,7 @@ def _reference_ptm_to_choi():
     """16x16 map from flattened one-qubit PTMs to flattened Choi matrices,
     built column by column from the action of each unit-entry PTM on the
     matrix units B_ik, as an independent check of `rblab.superop.PTM_TO_CHOI`."""
-    basis = pauli_basis(2)
+    basis = PAULI_BASIS
     columns = []
     for index in range(16):
         ptm = np.zeros((4, 4))

@@ -57,6 +57,8 @@ BASE_SWEEP = {
     "sweep": {"parameter": "theta", "grid": [0.2, 0.3], "repeats": 2},
 }
 SWEEP_WITHOUT_REPEATS = dict(BASE_SWEEP, sweep={"parameter": "theta", "grid": [0.2, 0.3]})
+BASE_COUNTER = {"command": "counterexample", "seed": 2, "counterexample": {"lambda": 0.99}}
+BASE_GAUGE = {"command": "gauge-demo", "seed": 11, "error_model": {"name": "depolarizing", "lambda": 0.99}}
 
 
 @pytest.mark.parametrize(
@@ -70,9 +72,25 @@ SWEEP_WITHOUT_REPEATS = dict(BASE_SWEEP, sweep={"parameter": "theta", "grid": [0
         (_with(BASE_SIMULATE, rb={"lengths": {"start": 0, "stop": 201, "step": 10}}), "rb.lengths"),
         (_with(BASE_SIMULATE, rb={"lengths": {"start": 301, "stop": 201, "step": 10}}), "rb.lengths"),
         (_with(BASE_SIMULATE, theory={"lengths": {"start": 1, "stop": 201, "step": 0}}), "theory.lengths"),
+        (_with(BASE_COUNTER, counterexample={"alpha_grid": [0.0, 1.0]}), "counterexample.alpha_grid"),
+        (_with(BASE_COUNTER, counterexample={"alpha_grid": ["a"]}), "counterexample.alpha_grid"),
+        (_with(BASE_COUNTER, counterexample={"alpha_grid": {"start": -1, "stop": 1, "num": "x"}}),
+         "counterexample.alpha_grid"),
+        (_with(BASE_GAUGE, gauge={"scale": "big"}), "gauge.scale"),
+        (dict(BASE_SIMULATE, seed=True), "seed"),
+        (_with(BASE_SIMULATE, rb={"k_per_length": True}), "rb.k_per_length"),
+        (_with(BASE_SWEEP, rb={"repeats": True}), "rb.repeats"),
+        (_with(BASE_SIMULATE, rb={"lengths": [True, 51, 101, 151, 201]}), "rb.lengths"),
+        (dict(BASE_SIMULATE, error_model={"name": "coherent_z", "theta": True}), "error_model.theta"),
+        (dict(BASE_SIMULATE, error_model={"name": "depolarizing", "lambda": True}), "error_model.lambda"),
+        (dict(BASE_SIMULATE, error_model={"name": "general", "rotation_x": [True, 0, 0], "rotation_y": [0, 0.01, 0]}),
+         "error_model.rotation_x"),
+        (_with(BASE_SWEEP, sweep={"grid": [True, 0.3]}), "sweep.grid"),
     ],
     ids=["simulate-one-repeat", "sweep-one-repeat", "too-few-lengths-for-fit", "repeated-lengths", "zero-step",
-         "zero-start", "empty-range", "theory-zero-step"],
+         "zero-start", "empty-range", "theory-zero-step", "alpha-grid-zero", "alpha-grid-string",
+         "alpha-grid-bad-object", "gauge-scale-string", "bool-seed", "bool-k-per-length", "bool-repeats",
+         "bool-length", "bool-theta", "bool-lambda", "bool-rotation", "bool-sweep-grid"],
 )
 def test_validate_rejects_configs_that_cannot_run(tmp_path, capsys, config, field):
     assert any(p.startswith(field) for p in validate(config)), validate(config)

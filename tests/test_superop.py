@@ -24,7 +24,7 @@ from rblab import (
     rotation_channel,
     zero_channel,
 )
-from rblab.superop import PTM_TO_CHOI, pauli_basis, unvec, vec
+from rblab.superop import PAULI_BASIS, PTM_TO_CHOI, unvec, vec
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
@@ -116,6 +116,17 @@ def test_state_and_effect_validation():
     assert np.allclose(Effect.from_operator(rho).coeffs, Effect.z_plus().coeffs)
 
 
+def test_one_qubit_shapes_are_enforced():
+    with pytest.raises(ValueError):
+        Superoperator(np.eye(9))
+    with pytest.raises(ValueError):
+        State(np.zeros(9), validate=False)
+    with pytest.raises(ValueError):
+        Effect(np.full(9, 0.1))
+    with pytest.raises(ValueError):
+        State.from_density_matrix(np.eye(3) / 3)
+
+
 def test_choi_of_identity_and_depolarizing():
     assert np.allclose(choi_eigenvalues(identity_channel()), [0.0, 0.0, 0.0, 2.0], atol=1e-12)
     assert choi_eigenvalues(depolarizing_channel(0.99)).min() >= -1e-12
@@ -123,7 +134,7 @@ def test_choi_of_identity_and_depolarizing():
     from rblab import to_choi
 
     for ch in (identity_channel(), depolarizing_channel(0.7), rotation_channel(Y_AXIS, 0.4)):
-        assert abs(np.trace(to_choi(ch).entries) - 2.0) < 1e-12
+        assert abs(np.trace(to_choi(ch)) - 2.0) < 1e-12
 
 
 def test_ptm_to_choi_matches_matrix_unit_construction(reference_ptm_to_choi):
@@ -323,7 +334,7 @@ def test_diamond_bracket_polishes_amplitude_damping(monkeypatch):
 
 
 def _channel_from_kraus(kraus) -> Superoperator:
-    basis = pauli_basis(2)
+    basis = PAULI_BASIS
     ptm = sum(np.einsum("iab,bc,jcd,da->ij", basis, k, basis, k.conj().T) for k in kraus)
     return Superoperator(ptm.real)
 

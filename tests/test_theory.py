@@ -14,29 +14,28 @@ from rblab import (
     gamma_and_r_gamma,
     predicted_decay,
 )
-from rblab.theory import l_spectral_decay
 
 
 def test_r_matrix_blocks_follow_group_table(coherent_gateset, group):
     r = build_r_matrix(coherent_gateset)
-    assert r.matrix.shape == (96, 96)
+    assert r.shape == (96, 96)
     rng = np.random.default_rng(2)
     for _ in range(20):
         k, j = rng.integers(0, 24, size=2)
         idx = group.cayley[k, group.inverse[j]]
-        block = r.matrix[4 * k:4 * k + 4, 4 * j:4 * j + 4]
+        block = r[4 * k:4 * k + 4, 4 * j:4 * j + 4]
         assert np.allclose(block, coherent_gateset.imperfect[idx].ptm / 24.0, atol=1e-15)
 
 
 def test_r_matrix_perfect_power_identity(perfect_gateset):
-    r = build_r_matrix(perfect_gateset).matrix
+    r = build_r_matrix(perfect_gateset)
     block = 24.0 * (r @ r)[:4, :4]
     assert np.allclose(block, np.eye(4), atol=1e-12)
 
 
 def test_r_matrix_spectral_radius(coherent_gateset, depolarizing_gateset, random_gatesets):
     for gateset in [coherent_gateset, depolarizing_gateset, *random_gatesets]:
-        radius = np.max(np.abs(np.linalg.eigvals(build_r_matrix(gateset).matrix)))
+        radius = np.max(np.abs(np.linalg.eigvals(build_r_matrix(gateset))))
         assert radius <= 1.0 + 1e-9
 
 
@@ -136,14 +135,6 @@ def test_predicted_equals_exact_for_gate_independent(depolarizing_gateset):
     _, exact = exact_decay(depolarizing_gateset, lengths=lengths)
     predicted = predicted_decay(depolarizing_gateset, lengths=lengths)
     assert np.max(np.abs(exact - predicted)) < 1e-12
-
-
-def test_l_spectral_weights_match_direct_iteration(coherent_gateset):
-    lengths = np.array([1, 2, 51, 101, 501])
-    direct = predicted_decay(coherent_gateset, lengths=lengths)
-    spectral = l_spectral_decay(coherent_gateset)
-    assert spectral.weights is not None
-    assert np.max(np.abs(spectral.predict(lengths) - direct)) < 1e-10
 
 
 def test_delta_diamond_zero_for_gate_independent(depolarizing_gateset, perfect_gateset):
