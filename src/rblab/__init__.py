@@ -1,86 +1,17 @@
 """Numerical laboratory for single-qubit randomized benchmarking with
 gate-dependent noise: exact and approximate decay theories, gauge analysis
-of the average gateset infidelity, and a seeded simulation harness."""
+of the average gateset infidelity, and a seeded simulation harness.
 
-from .superop import (
-    Superoperator,
-    State,
-    Effect,
-    rotation_channel,
-    depolarizing_channel,
-    identity_channel,
-    zero_channel,
-    channel_from_unitary,
-    compose,
-    born_probability,
-    to_choi,
-    choi_eigenvalues,
-    is_cp,
-    is_tp,
-    is_unital,
-    is_unitary_channel,
-    agi,
-    agi_haar_oracle,
-    diamond_bracket,
-    diamond_distance,
-)
-from .clifford import (
-    CliffordGroup,
-    CompilationTable,
-    GateSet,
-    Perfect,
-    CoherentZ,
-    GeneralPrimitive,
-    GateIndependent,
-    CustomPrimitive,
-    generate_clifford_group,
-    compile_cliffords,
-    build_gateset,
-    error_maps,
-    average_error_map,
-    gateset_to_json_dict,
-)
-from .protocol import (
-    DEFAULT_LENGTHS,
-    Spam,
-    RBConfig,
-    RBDataset,
-    FitResult,
-    RBEstimate,
-    FitError,
-    sequence_inversions,
-    circuit_survivals,
-    sample_rb_sequence,
-    survival_probability,
-    run_rb,
-    repeat_datasets,
-    fit_decay,
-    estimate_r,
-)
-from .theory import (
-    SpectralDecay,
-    GammaResult,
-    DeltaBound,
-    build_r_matrix,
-    exact_decay,
-    build_l_map,
-    gamma_and_r_gamma,
-    predicted_decay,
-    delta_diamond,
-    brute_force_pm,
-)
-from .gauge import (
-    GaugeTransform,
-    CounterexampleRow,
-    EpsilonMinResult,
-    WallmanGauge,
-    apply_gauge,
-    agsi,
-    agsi_of,
-    m_alpha,
-    counterexample_epsilon_min,
-    epsilon_min_search,
-    wallman_gauge,
-)
+The package re-exports the public names of its five library modules; each
+module's `__all__` is the one list of them."""
+
+from . import clifford, gauge, protocol, superop, theory
+from .superop import *
+from .clifford import *
+from .protocol import *
+from .theory import *
+from .gauge import *
+
+__all__ = [*superop.__all__, *clifford.__all__, *protocol.__all__, *theory.__all__, *gauge.__all__]
 
 __version__ = "0.1.0"

@@ -60,24 +60,38 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford, gauge, protocol, theory
-from .superop import Superoperator, choi_eigenvalues
+from .superop import Superoperator
 
 __all__ = ["main", "validate", "run"]
 
 _COMMANDS = ("simulate", "theory", "sweep", "gauge-demo", "counterexample")
 _MODEL_NAMES = ("perfect", "coherent_z", "general", "gate_independent", "depolarizing", "custom")
 
-_TOP_KEYS = {"command", "seed", "output_dir", "error_model", "rb", "theory", "sweep", "counterexample", "gauge"}
-_MODEL_KEYS = {"name", "theta", "rotation_x", "rotation_y", "lambda", "ptm", "gx", "gy"}
-_RB_KEYS = {"lengths", "k_per_length", "repeats", "fit_model"}
-_THEORY_KEYS = {"lengths"}
-_SWEEP_KEYS = {"parameter", "grid", "repeats"}
-_COUNTER_KEYS = {"lambda", "alpha_grid"}
-_GAUGE_KEYS = {"scale"}
+_SECTION_KEYS = {
+    "error_model": {"name", "theta", "rotation_x", "rotation_y", "lambda", "ptm", "gx", "gy"},
+    "rb": {"lengths", "k_per_length", "repeats", "fit_model"},
+    "theory": {"lengths"},
+    "sweep": {"parameter", "grid", "repeats"},
+    "counterexample": {"lambda", "alpha_grid"},
+    "gauge": {"scale"},
+}
+_TOP_KEYS = {"command", "seed", "output_dir", *_SECTION_KEYS}
+_REQUIRED_BY = {  # section: the commands that cannot run without it
+    "error_model": ("simulate", "theory", "gauge-demo"),
+    "sweep": ("sweep",),
+    "counterexample": ("counterexample",),
+}
 
 
 def validate(config: dict) -> list[str]:
-    """Schema check without running anything; returns a list of violations."""
+    """Check a config before running it; returns a list of violations.
+
+    Every section present is checked, whatever the command; which sections
+    are required depends on the command. The error model is also built, as
+    the run would build it, so that a model the library rejects (a channel
+    that is not CPTP, say) is reported with the library's own message.
+    Nothing is simulated.
+    """
     problems: list[str] = []
     if not isinstance(config, dict):
         return ["config: must be a JSON object"]
@@ -92,95 +106,77 @@ def validate(config: dict) -> list[str]:
     if "output_dir" in config and not isinstance(config["output_dir"], str):
         problems.append("output_dir: must be a string")
 
-    model = config.get("error_model")
-    if command in ("simulate", "theory", "gauge-demo") and model is None:
-        problems.append(f"error_model: required for command {command!r}")
-    if model is not None:
-        problems.extend(_validate_model(model))
-
-    rb = config.get("rb", {})
-    if not isinstance(rb, dict):
-        problems.append("rb: must be an object")
-    else:
-        for key in rb:
-            if key not in _RB_KEYS:
-                problems.append(f"rb: unknown key {key!r}")
-        if "k_per_length" in rb and (not _is_int(rb["k_per_length"]) or rb["k_per_length"] < 1):
-            problems.append("rb.k_per_length: must be an integer >= 1")
-        if "repeats" in rb and (not _is_int(rb["repeats"]) or rb["repeats"] < 1):
-            problems.append("rb.repeats: must be an integer >= 1")
-        elif command == "simulate" and rb.get("repeats", protocol.RBConfig.repeats) < 2:
-            problems.append("rb.repeats: command 'simulate' needs at least 2 repeats")
-        fit_model = rb.get("fit_model", "first")
-        if not isinstance(fit_model, str) or fit_model not in protocol.FIT_PARAMETERS:
-            problems.append("rb.fit_model: must be 'zeroth' or 'first'")
-            fit_model = None
-        length_problems = _validate_lengths(rb["lengths"], "rb.lengths") if "lengths" in rb else []
-        problems.extend(length_problems)
-        if command in ("simulate", "sweep") and fit_model and not length_problems:
-            needed = protocol.FIT_PARAMETERS[fit_model]
-            if len(np.unique(_resolve_lengths(rb.get("lengths")))) < needed:
-                problems.append(f"rb.lengths: the {fit_model}-order fit needs at least {needed} distinct lengths")
-
-    theory_cfg = config.get("theory", {})
-    if not isinstance(theory_cfg, dict):
-        problems.append("theory: must be an object")
-    else:
-        for key in theory_cfg:
-            if key not in _THEORY_KEYS:
-                problems.append(f"theory: unknown key {key!r}")
-        if "lengths" in theory_cfg:
-            problems.extend(_validate_lengths(theory_cfg["lengths"], "theory.lengths"))
-
-    if command == "sweep":
-        sweep = config.get("sweep")
-        if not isinstance(sweep, dict):
-            problems.append("sweep: required object for command 'sweep'")
+    sections: dict[str, dict] = {}
+    for section, allowed in _SECTION_KEYS.items():
+        if section not in config:
+            if command in _REQUIRED_BY.get(section, ()):
+                problems.append(f"{section}: required object for command {command!r}")
+        elif not isinstance(config[section], dict):
+            problems.append(f"{section}: must be an object")
         else:
-            for key in sweep:
-                if key not in _SWEEP_KEYS:
-                    problems.append(f"sweep: unknown key {key!r}")
-            if sweep.get("parameter", "theta") != "theta":
-                problems.append("sweep.parameter: only 'theta' is supported")
-            grid = sweep.get("grid")
-            if not isinstance(grid, list) or not grid or not all(_is_number(x) for x in grid):
-                problems.append("sweep.grid: must be a non-empty list of numbers")
-            if "repeats" in sweep and (not _is_int(sweep["repeats"]) or sweep["repeats"] < 2):
-                problems.append("sweep.repeats: must be an integer >= 2")
-            elif "repeats" not in sweep and isinstance(rb, dict) and rb.get("repeats") == 1:
-                problems.append("sweep.repeats: required when rb.repeats is 1 (the sweep needs at least 2)")
+            sections[section] = config[section]
+            problems.extend(f"{section}: unknown key {key!r}" for key in config[section] if key not in allowed)
 
-    if command == "counterexample":
-        counter = config.get("counterexample")
-        if not isinstance(counter, dict):
-            problems.append("counterexample: required object for command 'counterexample'")
-        else:
-            for key in counter:
-                if key not in _COUNTER_KEYS:
-                    problems.append(f"counterexample: unknown key {key!r}")
-            lam = counter.get("lambda")
-            if not _is_number(lam) or not (0.0 <= lam < 1.0):
-                problems.append("counterexample.lambda: must be a number in [0, 1)")
-            grid = counter.get("alpha_grid")
-            if isinstance(grid, dict):
-                if set(grid) != {"start", "stop", "num"}:
-                    problems.append("counterexample.alpha_grid: object form needs start, stop, num")
-                elif not all(_is_number(grid[k]) and grid[k] > 0 for k in ("start", "stop")):
-                    problems.append("counterexample.alpha_grid: start and stop must be numbers > 0")
-                elif not _is_int(grid["num"]) or grid["num"] < 1:
-                    problems.append("counterexample.alpha_grid: num must be an integer >= 1")
-            elif grid is not None and not (isinstance(grid, list) and all(_is_number(a) and a > 0 for a in grid)):
-                problems.append("counterexample.alpha_grid: must be a list of numbers > 0 or {start, stop, num}")
+    if "error_model" in sections:
+        model_problems = _validate_model(sections["error_model"])
+        problems.extend(model_problems)
+        if not model_problems:
+            try:
+                clifford.build_gateset(_build_error_model(sections["error_model"]))
+            except ValueError as exc:
+                problems.append(f"error_model: {exc}")
 
-    gauge_cfg = config.get("gauge", {})
-    if not isinstance(gauge_cfg, dict):
-        problems.append("gauge: must be an object")
-    else:
-        for key in gauge_cfg:
-            if key not in _GAUGE_KEYS:
-                problems.append(f"gauge: unknown key {key!r}")
-        if "scale" in gauge_cfg and not _is_number(gauge_cfg["scale"]):
-            problems.append("gauge.scale: must be a number")
+    rb = sections.get("rb", {})
+    if "k_per_length" in rb and (not _is_int(rb["k_per_length"]) or rb["k_per_length"] < 1):
+        problems.append("rb.k_per_length: must be an integer >= 1")
+    if "repeats" in rb and (not _is_int(rb["repeats"]) or rb["repeats"] < 1):
+        problems.append("rb.repeats: must be an integer >= 1")
+    elif command == "simulate" and rb.get("repeats", protocol.RBConfig.repeats) < 2:
+        problems.append("rb.repeats: command 'simulate' needs at least 2 repeats")
+    fit_model = rb.get("fit_model", "first")
+    if not isinstance(fit_model, str) or fit_model not in protocol.FIT_PARAMETERS:
+        problems.append("rb.fit_model: must be 'zeroth' or 'first'")
+        fit_model = None
+    length_problems = _validate_lengths(rb["lengths"], "rb.lengths") if "lengths" in rb else []
+    problems.extend(length_problems)
+    if command in ("simulate", "sweep") and fit_model and not length_problems:
+        needed = protocol.FIT_PARAMETERS[fit_model]
+        if len(np.unique(_resolve_lengths(rb.get("lengths")))) < needed:
+            problems.append(f"rb.lengths: the {fit_model}-order fit needs at least {needed} distinct lengths")
+
+    if "lengths" in sections.get("theory", {}):
+        problems.extend(_validate_lengths(sections["theory"]["lengths"], "theory.lengths"))
+
+    sweep = sections.get("sweep")
+    if sweep is not None:
+        if sweep.get("parameter", "theta") != "theta":
+            problems.append("sweep.parameter: only 'theta' is supported")
+        grid = sweep.get("grid")
+        if not isinstance(grid, list) or not grid or not all(_is_number(x) for x in grid):
+            problems.append("sweep.grid: must be a non-empty list of numbers")
+        if "repeats" in sweep and (not _is_int(sweep["repeats"]) or sweep["repeats"] < 2):
+            problems.append("sweep.repeats: must be an integer >= 2")
+        elif "repeats" not in sweep and command == "sweep" and rb.get("repeats") == 1:
+            problems.append("sweep.repeats: required when rb.repeats is 1 (the sweep needs at least 2)")
+
+    counter = sections.get("counterexample")
+    if counter is not None:
+        lam = counter.get("lambda")
+        if not _is_number(lam) or not (0.0 <= lam < 1.0):
+            problems.append("counterexample.lambda: must be a number in [0, 1)")
+        grid = counter.get("alpha_grid")
+        if isinstance(grid, dict):
+            if set(grid) != {"start", "stop", "num"}:
+                problems.append("counterexample.alpha_grid: object form needs start, stop, num")
+            elif not all(_is_number(grid[k]) and grid[k] > 0 for k in ("start", "stop")):
+                problems.append("counterexample.alpha_grid: start and stop must be numbers > 0")
+            elif not _is_int(grid["num"]) or grid["num"] < 1:
+                problems.append("counterexample.alpha_grid: num must be an integer >= 1")
+        elif grid is not None and not (isinstance(grid, list) and grid and all(_is_number(a) and a > 0 for a in grid)):
+            problems.append("counterexample.alpha_grid: must be a non-empty list of numbers > 0 or {start, stop, num}")
+
+    if "scale" in sections.get("gauge", {}) and not _is_number(sections["gauge"]["scale"]):
+        problems.append("gauge.scale: must be a number")
 
     return problems
 
@@ -194,13 +190,8 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-def _validate_model(model) -> list[str]:
-    if not isinstance(model, dict):
-        return ["error_model: must be an object"]
+def _validate_model(model: dict) -> list[str]:
     problems = []
-    for key in model:
-        if key not in _MODEL_KEYS:
-            problems.append(f"error_model: unknown key {key!r}")
     name = model.get("name")
     if name not in _MODEL_NAMES:
         problems.append(f"error_model.name: unknown model {name!r}, expected one of {list(_MODEL_NAMES)}")
@@ -327,12 +318,29 @@ def _run_simulate(resolved: dict, out_dir: Path) -> None:
     gateset = clifford.build_gateset(_build_error_model(resolved["error_model"]))
     config = _rb_config(resolved)
     dataset = protocol.run_rb(gateset, config)
-    dataset.to_csv(out_dir / "rb_dataset.csv", header_comment=f"config: {json.dumps(resolved, sort_keys=True)}")
+    stds = dataset.std_across_sequences()
+    rows = [
+        (m, mean, std, probs.size)
+        for m, mean, std, probs in zip(dataset.lengths, dataset.means, stds, dataset.survivals)
+    ]
+    _write_csv(out_dir / "rb_dataset.csv", ["m", "p_mean", "p_std_across_sequences", "k"], rows, resolved)
     estimate = protocol.estimate_r(gateset, config, model=resolved["rb"]["fit_model"])
-    payload = estimate.to_json_dict(seed=resolved["seed"], config=resolved)
-    flags = sorted({flag for fit in estimate.fits for flag in fit.flags})
-    payload["flags"] = flags
-    _write_json(out_dir / "rb_fit.json", payload)
+    good = [f for f in estimate.fits if not np.isnan(f.r_hat)]  # "no-decay" fits have no p
+    _write_json(
+        out_dir / "rb_fit.json",
+        {
+            "model": good[0].model if good else None,
+            "A": float(np.mean([f.a for f in good])) if good else None,
+            "B": float(np.mean([f.b for f in good])) if good else None,
+            "C": float(np.mean([f.c for f in good])) if good else None,
+            "p": float(np.mean([f.p for f in good])) if good else None,
+            "r_hat": estimate.r_mean,
+            "r_std": estimate.r_std,
+            "flags": sorted({flag for fit in estimate.fits for flag in fit.flags}),
+            "seed": resolved["seed"],
+            "config": resolved,
+        },
+    )
 
 
 def _run_theory(resolved: dict, out_dir: Path) -> None:
@@ -379,8 +387,7 @@ def _run_gauge_demo(resolved: dict, out_dir: Path) -> None:
     transform = gauge.GaugeTransform.random_tp(seed=resolved["seed"], scale=scale)
     transformed = transform.transform_gateset(gateset)
     eps_before = gauge.agsi_of(gateset)
-    eps_after = gauge.agsi_of(transformed)
-    min_eig = min(float(choi_eigenvalues(c)[0]) for c in transformed.imperfect)
+    eps_after, min_eig = gauge.infidelity_and_min_choi(transformed.imperfect, gateset.ideal.elements)
     gamma_result = theory.gamma_and_r_gamma(theory.build_l_map(gateset))
     _write_json(
         out_dir / "gauge_report.json",

@@ -28,7 +28,6 @@ from .superop import (
 __all__ = [
     "PRIMITIVE_NAMES",
     "CliffordGroup",
-    "CompilationTable",
     "Perfect",
     "CoherentZ",
     "GeneralPrimitive",
@@ -41,7 +40,6 @@ __all__ = [
     "build_gateset",
     "error_maps",
     "average_error_map",
-    "gateset_to_json_dict",
 ]
 
 PRIMITIVE_NAMES = ("Gx", "Gy")
@@ -90,14 +88,6 @@ class CliffordGroup:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class CompilationTable:
-    """A word over {Gx, Gy} for every Clifford index; the identity is the
-    empty word (simulations skip straight to the next gate)."""
-
-    words: tuple[tuple[str, ...], ...]
 
 
 @lru_cache(maxsize=1)
@@ -150,11 +140,13 @@ def _key(ptm: np.ndarray) -> bytes:
     return np.rint(ptm).astype(np.int8).tobytes()
 
 
-def compile_cliffords(group: CliffordGroup) -> CompilationTable:
-    """Shortest {Gx, Gy} word for every Clifford by breadth-first search.
+def compile_cliffords(group: CliffordGroup) -> tuple[tuple[str, ...], ...]:
+    """Shortest {Gx, Gy} word for every Clifford by breadth-first search,
+    indexed like the group's elements.
 
     Ties are broken lexicographically with Gx < Gy; the identity gets the
-    empty word. Each word's recomposition is checked against the target PTM.
+    empty word (simulations skip straight to the next gate). Each word's
+    recomposition is checked against the target PTM.
     """
     prims = ideal_primitives()
     target_index = {_key(e.ptm): i for i, e in enumerate(group.elements)}
@@ -179,8 +171,8 @@ def compile_cliffords(group: CliffordGroup) -> CompilationTable:
     if len(words) != len(group.elements):
         raise RuntimeError("compilation search did not reach every Clifford")
 
-    table = CompilationTable(words=tuple(words[i] for i in range(len(group.elements))))
-    for i, word in enumerate(table.words):
+    table = tuple(words[i] for i in range(len(group.elements)))
+    for i, word in enumerate(table):
         rebuilt = _product_along_word(prims, word)
         if not np.array_equal(rebuilt, group.elements[i].ptm):
             raise RuntimeError(f"word for Clifford {i} does not recompose to its PTM")
@@ -293,10 +285,6 @@ class GateSet:
 
     ideal: CliffordGroup
     imperfect: tuple[Superoperator, ...]
-    compilation: CompilationTable
-    error_model: ErrorModel
-    primitives_ideal: tuple[tuple[str, Superoperator], ...]
-    primitives_imperfect: tuple[tuple[str, Superoperator], ...]
 
     def imperfect_stack(self) -> np.ndarray:
         """All imperfect Clifford PTMs as one (|C|, 4, 4) array."""
@@ -306,17 +294,17 @@ class GateSet:
 def build_gateset(
     model: ErrorModel,
     group: CliffordGroup | None = None,
-    compilation: CompilationTable | None = None,
+    compilation: tuple[tuple[str, ...], ...] | None = None,
 ) -> GateSet:
-    """Assemble the imperfect gateset for an error model.
+    """Assemble the imperfect gateset for an error model, compiling each
+    Clifford along its word in `compilation` (see :func:`compile_cliffords`).
 
     Every imperfect primitive (or the gate-independent channel) must be CPTP;
     violations raise at construction.
     """
     group = group if group is not None else generate_clifford_group()
     compilation = compilation if compilation is not None else compile_cliffords(group)
-    ideal = ideal_primitives()
-    imperfect_prims = _imperfect_primitives(model, ideal)
+    imperfect_prims = _imperfect_primitives(model, ideal_primitives())
 
     for name, gate in imperfect_prims.items():
         if not is_tp(gate) or not is_cp(gate):
@@ -329,16 +317,9 @@ def build_gateset(
     else:
         imperfect = tuple(
             Superoperator(_product_along_word(imperfect_prims, word))
-            for word in compilation.words
+            for word in compilation
         )
-    return GateSet(
-        ideal=group,
-        imperfect=imperfect,
-        compilation=compilation,
-        error_model=model,
-        primitives_ideal=tuple(sorted(ideal.items())),
-        primitives_imperfect=tuple(sorted(imperfect_prims.items())),
-    )
+    return GateSet(ideal=group, imperfect=imperfect)
 
 
 def error_maps(gateset: GateSet) -> list[Superoperator]:
@@ -353,35 +334,3 @@ def average_error_map(gateset: GateSet) -> Superoperator:
     """Entrywise mean of the 24 error maps."""
     maps = error_maps(gateset)
     return Superoperator(np.mean([m.ptm for m in maps], axis=0))
-
-
-def gateset_to_json_dict(gateset: GateSet) -> dict:
-    """JSON-ready description: primitive and Clifford PTMs, words, model parameters."""
-    return {
-        "error_model": _model_params(gateset.error_model),
-        "primitives_ideal": {name: s.ptm.tolist() for name, s in gateset.primitives_ideal},
-        "primitives_imperfect": {name: s.ptm.tolist() for name, s in gateset.primitives_imperfect},
-        "compilation_words": [list(word) for word in gateset.compilation.words],
-        "imperfect_cliffords": [s.ptm.tolist() for s in gateset.imperfect],
-    }
-
-
-def _model_params(model: ErrorModel) -> dict:
-    if isinstance(model, Perfect):
-        return {"name": "perfect"}
-    if isinstance(model, CoherentZ):
-        return {"name": "coherent_z", "theta": model.theta}
-    if isinstance(model, GeneralPrimitive):
-        return {
-            "name": "general",
-            "theta_x": model.theta_x,
-            "axis_x": list(model.axis_x),
-            "theta_y": model.theta_y,
-            "axis_y": list(model.axis_y),
-            "lambda": model.lam,
-        }
-    if isinstance(model, GateIndependent):
-        return {"name": "gate_independent", "ptm": model.channel.ptm.tolist()}
-    if isinstance(model, CustomPrimitive):
-        return {"name": "custom", "gx": model.gx.ptm.tolist(), "gy": model.gy.ptm.tolist()}
-    raise TypeError(f"unknown error model {model!r}")

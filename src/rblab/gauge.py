@@ -36,9 +36,9 @@ __all__ = [
     "CounterexampleRow",
     "EpsilonMinResult",
     "WallmanGauge",
-    "apply_gauge",
     "agsi",
     "agsi_of",
+    "infidelity_and_min_choi",
     "m_alpha",
     "counterexample_epsilon_min",
     "epsilon_min_search",
@@ -70,14 +70,6 @@ class GaugeTransform:
         object.__setattr__(self, "m_inv", m_inv)
 
     @classmethod
-    def identity(cls) -> "GaugeTransform":
-        return cls(np.eye(4))
-
-    @classmethod
-    def from_channel(cls, channel: Superoperator) -> "GaugeTransform":
-        return cls(channel.ptm)
-
-    @classmethod
     def random_tp(cls, seed: int, scale: float = 0.2) -> "GaugeTransform":
         """Identity plus a random perturbation of the 12 non-TP-row entries."""
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -88,14 +80,13 @@ class GaugeTransform:
     def transform_channel(self, s: Superoperator) -> Superoperator:
         return Superoperator(self.m @ s.ptm @ self.m_inv)
 
-    def transform_state(self, state: State) -> State:
-        return State(self.m @ state.coeffs, validate=False)
-
-    def transform_effect(self, effect: Effect) -> Effect:
-        return Effect(self.m_inv.T @ effect.coeffs, validate=False)
-
     def transform_spam(self, spam: Spam) -> Spam:
-        return Spam(self.transform_state(spam.state), self.transform_effect(spam.effect))
+        """The state goes to M rho and the effect to M^-T E, so every
+        circuit probability is unchanged."""
+        return Spam(
+            State(self.m @ spam.state.coeffs, validate=False),
+            Effect(self.m_inv.T @ spam.effect.coeffs, validate=False),
+        )
 
     def transform_gateset(self, gateset: GateSet) -> GateSet:
         """Conjugate the imperfect representation only; the ideal gates keep
@@ -104,21 +95,6 @@ class GaugeTransform:
             gateset,
             imperfect=tuple(self.transform_channel(c) for c in gateset.imperfect),
         )
-
-
-def apply_gauge(obj, transform: GaugeTransform):
-    """Gauge-transform a channel, state, effect, SPAM pair, or gateset."""
-    if isinstance(obj, Superoperator):
-        return transform.transform_channel(obj)
-    if isinstance(obj, State):
-        return transform.transform_state(obj)
-    if isinstance(obj, Effect):
-        return transform.transform_effect(obj)
-    if isinstance(obj, Spam):
-        return transform.transform_spam(obj)
-    if isinstance(obj, GateSet):
-        return transform.transform_gateset(obj)
-    raise TypeError(f"cannot gauge-transform {type(obj).__name__}")
 
 
 def agsi(imperfect, ideal) -> float:
@@ -132,6 +108,14 @@ def agsi(imperfect, ideal) -> float:
 
 def agsi_of(gateset: GateSet) -> float:
     return agsi(gateset.imperfect, gateset.ideal.elements)
+
+
+def infidelity_and_min_choi(imperfect, ideal) -> tuple[float, float]:
+    """Score a representation: its average gateset infidelity to the ideal
+    gates and the smallest Choi eigenvalue over its gates (negative when
+    some gate is not completely positive)."""
+    imperfect = list(imperfect)
+    return agsi(imperfect, ideal), min(float(choi_eigenvalues(c)[0]) for c in imperfect)
 
 
 def m_alpha(alpha: float) -> GaugeTransform:
@@ -153,7 +137,6 @@ class CounterexampleRow:
     min_choi_eigenvalue: float
     all_cp: bool
     r_reference: float
-    agi_formula_nonfixing: float
 
 
 def counterexample_epsilon_min(lam: float, alpha_grid, gateset: GateSet) -> list[CounterexampleRow]:
@@ -174,8 +157,7 @@ def counterexample_epsilon_min(lam: float, alpha_grid, gateset: GateSet) -> list
     for alpha in np.asarray(alpha_grid, dtype=float):
         transform = m_alpha(float(alpha))
         transformed = [transform.transform_channel(c) for c in gateset.imperfect]
-        eps = agsi(transformed, ideal)
-        min_eig = min(float(choi_eigenvalues(c)[0]) for c in transformed)
+        eps, min_eig = infidelity_and_min_choi(transformed, ideal)
         rows.append(
             CounterexampleRow(
                 alpha=float(alpha),
@@ -183,10 +165,12 @@ def counterexample_epsilon_min(lam: float, alpha_grid, gateset: GateSet) -> list
                 min_choi_eigenvalue=min_eig,
                 all_cp=bool(min_eig >= -1e-10),
                 r_reference=r_reference,
-                agi_formula_nonfixing=(3.0 - lam * (alpha**2 + alpha + 1.0) / alpha) / 6.0,
             )
         )
     return rows
+
+
+_CP_PENALTY = 1e8  # weight of the squared most-negative Choi eigenvalue in the search objective
 
 
 @dataclass(frozen=True)
@@ -201,12 +185,12 @@ def epsilon_min_search(
     gateset: GateSet,
     restarts: int = 8,
     seed: int = 0,
-    penalty: float = 1e8,
 ) -> EpsilonMinResult:
     """Local search for the CPTP representation of minimal infidelity.
 
-    Minimizes the infidelity plus a quadratic penalty on Choi-eigenvalue
-    violations over TP-form gauges (12 free entries around the identity).
+    Minimizes the infidelity plus a quadratic penalty, of fixed weight
+    `_CP_PENALTY`, on Choi-eigenvalue violations over TP-form gauges (12
+    free entries around the identity).
     The result is an upper bound on the true minimum: the incumbent starts
     at the input representation and only improves, and more restarts can
     only lower it.
@@ -237,7 +221,7 @@ def epsilon_min_search(
             return 1e6
         eps, min_eig = evaluated
         violation = min(min_eig, 0.0)
-        return eps + penalty * violation * violation
+        return eps + _CP_PENALTY * violation * violation
 
     best_params = np.zeros(12)
     best_eps, best_min_eig = evaluate(best_params)
@@ -338,8 +322,7 @@ def wallman_gauge(gateset: GateSet, seed: int = 0) -> WallmanGauge:
 
     l_inverse_gauge = GaugeTransform(np.linalg.inv(_tp_normalize(best)))
     transformed = [l_inverse_gauge.transform_channel(c) for c in gateset.imperfect]
-    eps = agsi(transformed, gateset.ideal.elements)
-    min_eig = min(float(choi_eigenvalues(c)[0]) for c in transformed)
+    eps, min_eig = infidelity_and_min_choi(transformed, gateset.ideal.elements)
     return WallmanGauge(
         l_op=l_op,
         gamma=gamma,

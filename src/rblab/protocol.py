@@ -30,8 +30,6 @@ __all__ = [
     "FitError",
     "sequence_inversions",
     "circuit_survivals",
-    "sample_rb_sequence",
-    "survival_probability",
     "run_rb",
     "repeat_datasets",
     "fit_decay",
@@ -102,18 +100,6 @@ class RBDataset:
     def std_across_sequences(self) -> np.ndarray:
         return np.array([float(np.std(p, ddof=1)) if p.size > 1 else 0.0 for p in self.survivals])
 
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        """Columns: m, p_mean, p_std_across_sequences, k."""
-        stds = self.std_across_sequences()
-        lines = []
-        if header_comment:
-            lines.extend(f"# {line}" for line in header_comment.splitlines())
-        lines.append("m,p_mean,p_std_across_sequences,k")
-        for m, mean, std, probs in zip(self.lengths, self.means, stds, self.survivals):
-            lines.append(f"{m},{mean:.17g},{std:.17g},{probs.size}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -132,23 +118,6 @@ class RBEstimate:
     r_mean: float
     r_std: float
     fits: tuple[FitResult, ...]
-
-    def to_json_dict(self, seed: int | None = None, config: dict | None = None) -> dict:
-        good = [f for f in self.fits if not np.isnan(f.r_hat)]
-        payload = {
-            "model": good[0].model if good else None,
-            "A": float(np.mean([f.a for f in good])) if good else None,
-            "B": float(np.mean([f.b for f in good])) if good else None,
-            "C": float(np.mean([f.c for f in good])) if good else None,
-            "p": float(np.mean([f.p for f in good])) if good else None,
-            "r_hat": self.r_mean,
-            "r_std": self.r_std,
-        }
-        if seed is not None:
-            payload["seed"] = seed
-        if config is not None:
-            payload["config"] = config
-        return payload
 
 
 # --------------------------------------------------------------------------
@@ -174,28 +143,6 @@ def circuit_survivals(ptms: np.ndarray, circuits: np.ndarray, spam: Spam) -> np.
     for step in np.ascontiguousarray(circuits.T, dtype=np.intp):
         states = np.matmul(ptms[step], states[:, :, None])[:, :, 0]
     return states @ spam.effect.coeffs
-
-
-def sample_rb_sequence(group, m: int, rng: np.random.Generator):
-    """Draw m uniform Clifford indices plus the index of their inverting gate.
-
-    The product of all m+1 indexed Cliffords is the identity by construction.
-    """
-    if m < 1:
-        raise ValueError("sequence length must be >= 1")
-    indices = rng.integers(0, len(group), size=m)
-    return indices, int(sequence_inversions(group, indices[None, :])[0])
-
-
-def survival_probability(gateset: GateSet, sequence, spam: Spam | None = None) -> float:
-    """Exact Born probability of surviving a full sequence (inversion included).
-
-    `sequence` lists Clifford indices in the order applied; every element,
-    including the final inversion gate, uses the imperfect implementation.
-    """
-    spam = spam if spam is not None else Spam.ideal()
-    circuit = np.asarray(sequence, dtype=np.intp)[None, :]
-    return float(circuit_survivals(gateset.imperfect_stack(), circuit, spam)[0])
 
 
 def _draw_circuits(group, rng: np.random.Generator, k: int, m: int) -> np.ndarray:

@@ -67,12 +67,6 @@ class SpectralDecay:
 class GammaResult:
     gamma: float
     r_gamma: float
-    subdominant_moduli: np.ndarray
-
-    def kappa_bound_at(self, m: int) -> float:
-        """Envelope of the non-dominant spectral remainder, sum of
-        |gamma_i|**m over eigenvalues below gamma (weights not included)."""
-        return float(np.sum(self.subdominant_moduli ** m))
 
 
 @dataclass(frozen=True)
@@ -192,12 +186,10 @@ def gamma_and_r_gamma(l_matrix: np.ndarray) -> GammaResult:
         raise ValueError(f"subdominant eigenvalue {gamma} is not real")
     if abs(gamma) > 1.0 + 1e-9:
         raise ValueError(f"subdominant eigenvalue {gamma} exceeds 1 in modulus")
-    moduli = np.sort(np.abs(np.delete(rest, top)))[::-1]
     gamma_real = float(gamma.real)
     return GammaResult(
         gamma=gamma_real,
         r_gamma=(1.0 - gamma_real) / 2,
-        subdominant_moduli=moduli,
     )
 
 

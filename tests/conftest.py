@@ -37,6 +37,38 @@ def reference_survivals():
     return _reference_survivals
 
 
+def _agi_haar_oracle(g_tilde, g, n_samples=100_000, seed=0, with_stderr=False):
+    """Monte Carlo estimate of 1 - int dpsi Tr(g_tilde[psi] g[psi]) over
+    Haar-random pure states, as an independent check of `rblab.superop.agi`.
+    Converges to agi() at rate O(1/sqrt(n_samples)) for unitary targets.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    total = 0.0
+    total_sq = 0.0
+    remaining = n_samples
+    while remaining > 0:
+        n = min(remaining, 1 << 17)
+        z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        coeffs = np.einsum("ni,jik,nk->nj", z.conj(), PAULI_BASIS, z).real
+        fvals = np.einsum("nj,nj->n", coeffs @ g_tilde.ptm.T, coeffs @ g.ptm.T)
+        total += float(fvals.sum())
+        total_sq += float((fvals * fvals).sum())
+        remaining -= n
+    mean_f = total / n_samples
+    estimate = 1.0 - mean_f
+    if not with_stderr:
+        return estimate
+    var = max(total_sq / n_samples - mean_f * mean_f, 0.0)
+    stderr = np.sqrt(var / n_samples)
+    return estimate, stderr
+
+
+@pytest.fixture(scope="session")
+def agi_haar_oracle():
+    return _agi_haar_oracle
+
+
 def _reference_ptm_to_choi():
     """16x16 map from flattened one-qubit PTMs to flattened Choi matrices,
     built column by column from the action of each unit-entry PTM on the

@@ -17,7 +17,6 @@ from rblab import (
     Spam,
     agi,
     agsi_of,
-    apply_gauge,
     build_gateset,
     build_l_map,
     brute_force_pm,
@@ -182,12 +181,12 @@ def test_criterion_7_gauge_invariance(coherent_gateset, coherent_estimate):
     gauge_repeats = 8
     for index, scale in enumerate(scales):
         transform = GaugeTransform.random_tp(seed=5000 + index, scale=scale)
-        transformed = apply_gauge(coherent_gateset, transform)
+        transformed = transform.transform_gateset(coherent_gateset)
 
         spectrum = np.linalg.eigvals(build_l_map(transformed))
         assert _multiset_distance(base_spectrum, spectrum) < 1e-9, f"gauge {index}: spectrum moved"
 
-        spam = apply_gauge(Spam.ideal(), transform)
+        spam = transform.transform_spam(Spam.ideal())
         estimate = estimate_r(
             transformed,
             RBConfig(lengths=DEFAULT_LENGTHS, k_per_length=K_PER_LENGTH,

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,7 @@ BASE_SWEEP = {
 SWEEP_WITHOUT_REPEATS = dict(BASE_SWEEP, sweep={"parameter": "theta", "grid": [0.2, 0.3]})
 BASE_COUNTER = {"command": "counterexample", "seed": 2, "counterexample": {"lambda": 0.99}}
 BASE_GAUGE = {"command": "gauge-demo", "seed": 11, "error_model": {"name": "depolarizing", "lambda": 0.99}}
+NOT_CP_PTM = np.diag([1.0, 1.5, 1.5, 1.5]).tolist()
 
 
 @pytest.mark.parametrize(
@@ -86,11 +89,19 @@ BASE_GAUGE = {"command": "gauge-demo", "seed": 11, "error_model": {"name": "depo
         (dict(BASE_SIMULATE, error_model={"name": "general", "rotation_x": [True, 0, 0], "rotation_y": [0, 0.01, 0]}),
          "error_model.rotation_x"),
         (_with(BASE_SWEEP, sweep={"grid": [True, 0.3]}), "sweep.grid"),
+        (_with(BASE_SIMULATE, sweep={"bogus": 1}), "sweep: unknown key"),
+        (dict(BASE_SIMULATE, error_model={"name": "depolarizing", "lambda": 1.5}), "error_model"),
+        (dict(BASE_SIMULATE, error_model={"name": "general", "rotation_x": [0.1, 0, 0], "rotation_y": [0, 0.1, 0],
+                                          "lambda": 1.5}), "error_model"),
+        (dict(BASE_SIMULATE, error_model={"name": "gate_independent", "ptm": NOT_CP_PTM}), "error_model"),
+        (dict(BASE_SIMULATE, error_model={"name": "custom", "gx": NOT_CP_PTM, "gy": NOT_CP_PTM}), "error_model"),
+        (_with(BASE_COUNTER, counterexample={"alpha_grid": []}), "counterexample.alpha_grid"),
     ],
     ids=["simulate-one-repeat", "sweep-one-repeat", "too-few-lengths-for-fit", "repeated-lengths", "zero-step",
          "zero-start", "empty-range", "theory-zero-step", "alpha-grid-zero", "alpha-grid-string",
          "alpha-grid-bad-object", "gauge-scale-string", "bool-seed", "bool-k-per-length", "bool-repeats",
-         "bool-length", "bool-theta", "bool-lambda", "bool-rotation", "bool-sweep-grid"],
+         "bool-length", "bool-theta", "bool-lambda", "bool-rotation", "bool-sweep-grid", "unused-section-unknown-key",
+         "depolarizing-not-cp", "general-not-cp", "gate-independent-not-cp", "custom-not-cp", "alpha-grid-empty"],
 )
 def test_validate_rejects_configs_that_cannot_run(tmp_path, capsys, config, field):
     assert any(p.startswith(field) for p in validate(config)), validate(config)
@@ -104,6 +115,14 @@ def test_validate_accepts_configs_that_run():
     assert validate(_with(BASE_SIMULATE, rb={"lengths": [1, 51, 101], "fit_model": "zeroth"})) == []
     assert validate(_with(BASE_SWEEP, rb={"repeats": 1})) == []
     assert validate(dict(_with(BASE_SIMULATE, rb={"repeats": 1}), command="theory")) == []
+
+
+def test_readme_examples_validate():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        assert validate(json.loads(block)) == []
 
 
 def test_validate_only_exit_codes(tmp_path, capsys):

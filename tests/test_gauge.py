@@ -8,15 +8,14 @@ from rblab import (
     agi,
     agsi,
     agsi_of,
-    apply_gauge,
     build_l_map,
     choi_eigenvalues,
+    circuit_survivals,
     counterexample_epsilon_min,
     depolarizing_channel,
     epsilon_min_search,
     gamma_and_r_gamma,
     m_alpha,
-    survival_probability,
     wallman_gauge,
 )
 from rblab.clifford import error_maps
@@ -30,11 +29,11 @@ def test_gauge_transform_validation():
         m = np.eye(4)
         m[2] = 0.0
         GaugeTransform(m)
-    assert np.allclose(GaugeTransform.identity().m, np.eye(4))
+    assert np.allclose(GaugeTransform(np.eye(4)).m, np.eye(4))
 
 
 def test_identity_gauge_is_a_no_op(coherent_gateset):
-    transformed = apply_gauge(coherent_gateset, GaugeTransform.identity())
+    transformed = GaugeTransform(np.eye(4)).transform_gateset(coherent_gateset)
     for a, b in zip(transformed.imperfect, coherent_gateset.imperfect):
         assert np.array_equal(a.ptm, b.ptm)
 
@@ -42,15 +41,16 @@ def test_identity_gauge_is_a_no_op(coherent_gateset):
 def test_gauge_preserves_circuit_probabilities(coherent_gateset):
     rng = np.random.default_rng(31)
     spam = Spam.ideal()
+    ptms = coherent_gateset.imperfect_stack()
     worst = 0.0
     for trial in range(10):
         transform = GaugeTransform.random_tp(seed=trial, scale=0.4)
-        transformed = apply_gauge(coherent_gateset, transform)
-        spam_t = apply_gauge(spam, transform)
+        transformed_ptms = transform.transform_gateset(coherent_gateset).imperfect_stack()
+        spam_t = transform.transform_spam(spam)
         for _ in range(100):
-            indices = rng.integers(0, 24, size=rng.integers(1, 6))
-            p = survival_probability(coherent_gateset, indices, spam)
-            q = survival_probability(transformed, indices, spam_t)
+            circuit = rng.integers(0, 24, size=(1, rng.integers(1, 6)))
+            p = circuit_survivals(ptms, circuit, spam)[0]
+            q = circuit_survivals(transformed_ptms, circuit, spam_t)[0]
             worst = max(worst, abs(p - q))
     assert worst < 1e-10
 
@@ -58,8 +58,8 @@ def test_gauge_preserves_circuit_probabilities(coherent_gateset):
 def test_gauge_changes_epsilon_but_not_spectrum(coherent_gateset):
     base_spectrum = np.linalg.eigvals(build_l_map(coherent_gateset))
     base_epsilon = agsi_of(coherent_gateset)
-    strong = GaugeTransform.from_channel(rotation_channel(np.array([0.0, 1.0, 0.0]), 0.9))
-    transformed = apply_gauge(coherent_gateset, strong)
+    strong = GaugeTransform(rotation_channel(np.array([0.0, 1.0, 0.0]), 0.9).ptm)
+    transformed = strong.transform_gateset(coherent_gateset)
     new_spectrum = np.linalg.eigvals(build_l_map(transformed))
     assert _multiset_distance(base_spectrum, new_spectrum) < 1e-9
     assert agsi_of(transformed) / base_epsilon > 10.0
@@ -87,8 +87,8 @@ def test_same_transform_on_both_gatesets_preserves_epsilon(coherent_gateset):
 
 
 def test_unitary_gauge_gives_perfect_cliffords_nonzero_epsilon(perfect_gateset):
-    unitary = GaugeTransform.from_channel(rotation_channel(np.array([0.0, 0.0, 1.0]), 0.7))
-    transformed = apply_gauge(perfect_gateset, unitary)
+    unitary = GaugeTransform(rotation_channel(np.array([0.0, 0.0, 1.0]), 0.7).ptm)
+    transformed = unitary.transform_gateset(perfect_gateset)
     assert agsi_of(perfect_gateset) == 0.0
     assert agsi_of(transformed) > 1e-3
 
@@ -105,7 +105,7 @@ def test_m_alpha_properties():
 def test_m_alpha_error_map_pattern(depolarizing_gateset, group):
     lam, alpha = 0.99, 1.2
     transform = m_alpha(alpha)
-    transformed = apply_gauge(depolarizing_gateset, transform)
+    transformed = transform.transform_gateset(depolarizing_gateset)
     for em, ideal in zip(error_maps(transformed), group.elements):
         diag = np.diag(em.ptm)
         y_axis_image = np.abs(ideal.ptm[:, 2]).argmax()

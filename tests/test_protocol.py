@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -15,11 +16,10 @@ from rblab import (
     fit_decay,
     repeat_datasets,
     run_rb,
-    sample_rb_sequence,
     sequence_inversions,
-    survival_probability,
 )
-from rblab.protocol import FitError
+from rblab.cli import main
+from rblab.protocol import _draw_circuits
 
 LENGTHS = tuple(range(1, 2002, 50))
 
@@ -33,6 +33,27 @@ def _dataset_from_means(lengths, means):
     )
 
 
+def _simulate(tmp_path):
+    """Run the simulate command on the depolarizing lambda = 0.99 model at
+    lengths (1, 51, 101, 151), 10 sequences, seed 55 and 3 repeats."""
+    config = {
+        "command": "simulate",
+        "seed": 55,
+        "error_model": {"name": "depolarizing", "lambda": 0.99},
+        "rb": {"lengths": [1, 51, 101, 151], "k_per_length": 10, "repeats": 3},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out"
+
+
+def _sampled_circuit(group, m, rng):
+    """One (1, m+1) circuit: m uniform Clifford indices and their inversion."""
+    indices = rng.integers(0, len(group), size=(1, m))
+    return np.column_stack([indices, sequence_inversions(group, indices)])
+
+
 # --------------------------------------------------------------------------
 # Sequence sampling
 # --------------------------------------------------------------------------
@@ -41,25 +62,21 @@ def _dataset_from_means(lengths, means):
 def test_sampled_sequences_invert_to_identity(group):
     rng = np.random.default_rng(4)
     for m in (1, 2, 5, 20):
-        indices, inversion = sample_rb_sequence(group, m, rng)
+        circuit = _sampled_circuit(group, m, rng)
         # exact integer PTMs: the applied-order product is checked without the tables
-        ptms = [group.elements[i].ptm for i in (*indices, inversion)]
+        ptms = [group.elements[i].ptm for i in circuit[0]]
         assert np.array_equal(np.linalg.multi_dot(ptms[::-1]), np.eye(4))
 
 
 def test_identity_sequence_inverts_to_identity(group):
-    class FixedRng:
-        def integers(self, low, high, size):
-            return np.full(size, group.identity_index, dtype=np.intp)
-
-    indices, inversion = sample_rb_sequence(group, 1, FixedRng())
-    assert inversion == group.identity_index
+    indices = np.full((1, 1), group.identity_index, dtype=np.intp)
+    assert sequence_inversions(group, indices)[0] == group.identity_index
 
 
 def test_first_index_uniform_chi_square(group):
     rng = np.random.default_rng(123)
     draws = 100_000
-    first = np.array([sample_rb_sequence(group, 1, rng)[0][0] for _ in range(draws)])
+    first = _draw_circuits(group, rng, draws, 1)[:, 0]
     counts = np.bincount(first, minlength=24)
     expected = draws / 24.0
     sigma = np.sqrt(draws * (1 / 24) * (23 / 24))
@@ -76,20 +93,20 @@ def test_first_index_uniform_chi_square(group):
 
 def test_perfect_survival_is_one(perfect_gateset, group):
     rng = np.random.default_rng(11)
+    ptms = perfect_gateset.imperfect_stack()
     for m in (1, 3, 7):
-        indices, inversion = sample_rb_sequence(group, m, rng)
-        sequence = np.concatenate([indices, [inversion]])
-        assert abs(survival_probability(perfect_gateset, sequence) - 1.0) < 1e-12
+        circuit = _sampled_circuit(group, m, rng)
+        assert abs(circuit_survivals(ptms, circuit, Spam.ideal())[0] - 1.0) < 1e-12
 
 
 def test_gate_independent_two_gate_survival(depolarizing_gateset, group):
     lam = 0.99
     rng = np.random.default_rng(12)
+    ptms = depolarizing_gateset.imperfect_stack()
     for _ in range(5):
-        indices, inversion = sample_rb_sequence(group, 1, rng)
-        sequence = np.concatenate([indices, [inversion]])
+        circuit = _sampled_circuit(group, 1, rng)
         expected = (1.0 + lam**2) / 2.0
-        assert abs(survival_probability(depolarizing_gateset, sequence) - expected) < 1e-14
+        assert abs(circuit_survivals(ptms, circuit, Spam.ideal())[0] - expected) < 1e-14
 
 
 def _dense_oracle_survival(theta: float, table, sequence) -> float:
@@ -106,7 +123,7 @@ def _dense_oracle_survival(theta: float, table, sequence) -> float:
     prim = {"Gx": err @ unitary(sx, np.pi / 2), "Gy": err @ unitary(sy, np.pi / 2)}
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
     for index in sequence:
-        for name in table.words[index]:
+        for name in table[index]:
             u = prim[name]
             rho = u @ rho @ u.conj().T
     return float(np.real(rho[0, 0]))
@@ -114,11 +131,11 @@ def _dense_oracle_survival(theta: float, table, sequence) -> float:
 
 def test_survival_matches_dense_matrix_oracle(coherent_gateset, group, table):
     rng = np.random.default_rng(77)
+    ptms = coherent_gateset.imperfect_stack()
     for m in (1, 2, 6):
-        indices, inversion = sample_rb_sequence(group, m, rng)
-        sequence = np.concatenate([indices, [inversion]])
-        expected = _dense_oracle_survival(0.1, table, sequence)
-        assert abs(survival_probability(coherent_gateset, sequence) - expected) < 1e-14
+        circuit = _sampled_circuit(group, m, rng)
+        expected = _dense_oracle_survival(0.1, table, circuit[0])
+        assert abs(circuit_survivals(ptms, circuit, Spam.ideal())[0] - expected) < 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -179,17 +196,11 @@ def test_dataset_validation_and_csv(tmp_path):
         RBDataset(lengths=(1,), survivals=(np.array([1.5]),), means=np.array([1.5]))
     with pytest.raises(ValueError, match="inconsistent"):
         RBDataset(lengths=(1,), survivals=(np.array([0.5, 0.6]),), means=np.array([0.7]))
-    ds = RBDataset(
-        lengths=(1, 2),
-        survivals=(np.array([0.5, 0.7]), np.array([0.4, 0.6])),
-        means=np.array([0.6, 0.5]),
-    )
-    path = tmp_path / "ds.csv"
-    ds.to_csv(path, header_comment="config: {}")
-    lines = path.read_text().splitlines()
+    # the simulate command writes the dataset as CSV
+    lines = (_simulate(tmp_path) / "rb_dataset.csv").read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "m,p_mean,p_std_across_sequences,k"
-    assert lines[2].split(",")[0] == "1" and lines[2].endswith(",2")
+    assert lines[2].split(",")[0] == "1" and lines[2].endswith(",10")
 
 
 # --------------------------------------------------------------------------
@@ -277,11 +288,10 @@ def test_estimate_r_deterministic(depolarizing_gateset):
     assert a.r_mean == b.r_mean and a.r_std == b.r_std
 
 
-def test_estimate_json_payload(depolarizing_gateset):
-    config = RBConfig(lengths=(1, 51, 101, 151), k_per_length=10, seed=55, repeats=3)
-    estimate = estimate_r(depolarizing_gateset, config)
-    payload = estimate.to_json_dict(seed=55, config={"anything": 1})
-    assert set(payload) == {"model", "A", "B", "C", "p", "r_hat", "r_std", "seed", "config"}
+def test_estimate_json_payload(tmp_path):
+    # the simulate command writes the estimate as JSON
+    payload = json.loads((_simulate(tmp_path) / "rb_fit.json").read_text())
+    assert set(payload) == {"model", "A", "B", "C", "p", "r_hat", "r_std", "seed", "config", "flags"}
     assert payload["model"] == "first"
     assert abs(payload["r_hat"] - 0.005) < 1e-6
 

@@ -9,26 +9,21 @@ from rblab import (
     State,
     Superoperator,
     agi,
-    agi_haar_oracle,
-    born_probability,
     choi_eigenvalues,
-    compose,
     depolarizing_channel,
     diamond_bracket,
     diamond_distance,
-    identity_channel,
     is_cp,
     is_tp,
-    is_unital,
-    is_unitary_channel,
     rotation_channel,
-    zero_channel,
 )
 from rblab.superop import PAULI_BASIS, PTM_TO_CHOI, unvec, vec
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+IDENTITY = Superoperator(np.eye(4))
+ZERO = Superoperator(np.zeros((4, 4)))
 
 
 def test_vec_column_stacking_contract():
@@ -44,7 +39,7 @@ def test_rotation_zero_angle_is_identity():
 
 def test_rotation_quarter_turns_compose_to_identity():
     quarter = rotation_channel(Z_AXIS, np.pi / 2)
-    assert np.allclose(compose(quarter, quarter, quarter, quarter).ptm, np.eye(4), atol=1e-12)
+    assert np.allclose((quarter @ quarter @ quarter @ quarter).ptm, np.eye(4), atol=1e-12)
 
 
 def test_rotation_ptm_trace_matches_cosine_form():
@@ -71,7 +66,7 @@ def test_rotation_rejects_non_unit_axis():
 def test_depolarizing_ptm_and_edge_cases():
     assert np.allclose(depolarizing_channel(1.0).ptm, np.eye(4))
     assert np.allclose(depolarizing_channel(0.9).ptm, np.diag([1.0, 0.9, 0.9, 0.9]))
-    assert abs(agi(depolarizing_channel(0.99), identity_channel()) - 0.005) < 1e-14
+    assert abs(agi(depolarizing_channel(0.99), IDENTITY) - 0.005) < 1e-14
     # CP boundary: minimal Choi eigenvalue hits zero at lam = -1/3
     boundary = depolarizing_channel(-1.0 / 3.0)
     assert abs(choi_eigenvalues(boundary)[0]) < 1e-12
@@ -87,21 +82,21 @@ def test_depolarizing_rejects_non_cp_range():
 def test_born_rule_basics():
     state = State.z_plus()
     effect = Effect.z_plus()
-    assert abs(born_probability(effect, identity_channel(), state) - 1.0) < 1e-15
-    assert abs(born_probability(effect, rotation_channel(X_AXIS, np.pi), state)) < 1e-14
+    assert abs(effect.coeffs @ IDENTITY.ptm @ state.coeffs - 1.0) < 1e-15
+    assert abs(effect.coeffs @ rotation_channel(X_AXIS, np.pi).ptm @ state.coeffs) < 1e-14
     for lam in (0.0, 0.5, 0.73, 1.0):
         expected = (1.0 + lam) / 2.0
-        assert abs(born_probability(effect, depolarizing_channel(lam), state) - expected) < 1e-14
+        assert abs(effect.coeffs @ depolarizing_channel(lam).ptm @ state.coeffs - expected) < 1e-14
 
 
 def test_compose_is_associative_and_checks_dimensions():
     rng = np.random.default_rng(3)
     a, b, c = (Superoperator(rng.standard_normal((4, 4))) for _ in range(3))
-    left = compose(compose(a, b), c)
-    right = compose(a, compose(b, c))
+    left = (a @ b) @ c
+    right = a @ (b @ c)
     assert np.allclose(left.ptm, right.ptm, atol=1e-12)
     with pytest.raises(ValueError, match="dimension"):
-        compose(a, Superoperator(np.eye(16)))
+        a @ Superoperator(np.eye(16))
 
 
 def test_state_and_effect_validation():
@@ -128,12 +123,12 @@ def test_one_qubit_shapes_are_enforced():
 
 
 def test_choi_of_identity_and_depolarizing():
-    assert np.allclose(choi_eigenvalues(identity_channel()), [0.0, 0.0, 0.0, 2.0], atol=1e-12)
+    assert np.allclose(choi_eigenvalues(IDENTITY), [0.0, 0.0, 0.0, 2.0], atol=1e-12)
     assert choi_eigenvalues(depolarizing_channel(0.99)).min() >= -1e-12
     # trace of the Choi matrix equals d for TP maps
     from rblab import to_choi
 
-    for ch in (identity_channel(), depolarizing_channel(0.7), rotation_channel(Y_AXIS, 0.4)):
+    for ch in (IDENTITY, depolarizing_channel(0.7), rotation_channel(Y_AXIS, 0.4)):
         assert abs(np.trace(to_choi(ch)) - 2.0) < 1e-12
 
 
@@ -144,13 +139,16 @@ def test_ptm_to_choi_matches_matrix_unit_construction(reference_ptm_to_choi):
 def test_cp_tp_predicates():
     rot = rotation_channel(Y_AXIS, 1.1)
     assert is_cp(rot) and is_tp(rot)
-    assert is_unital(rot) and is_unitary_channel(rot)
+    # unital: first column e0; unitary: orthogonal PTM
+    assert np.max(np.abs(rot.ptm[:, 0] - [1.0, 0.0, 0.0, 0.0])) <= 1e-9
+    assert np.max(np.abs(rot.ptm.T @ rot.ptm - np.eye(4))) <= 1e-9
     too_strong = Superoperator(np.diag([1.0, 1.5, 1.5, 1.5]))
     assert not is_cp(too_strong)
     assert is_tp(too_strong)
     leaky = Superoperator(np.diag([0.9, 0.5, 0.5, 0.5]))
     assert not is_tp(leaky)
-    assert not is_unitary_channel(depolarizing_channel(0.9))
+    dep = depolarizing_channel(0.9).ptm
+    assert np.max(np.abs(dep.T @ dep - np.eye(4))) > 1e-9
 
 
 def test_agi_trace_formula_values():
@@ -161,21 +159,21 @@ def test_agi_trace_formula_values():
     expected = (2.0 - 2.0 * np.cos(theta)) / 6.0
     assert abs(agi(rotation_channel(Z_AXIS, theta) @ target, target) - expected) < 1e-14
     with pytest.raises(ValueError, match="singular"):
-        agi(identity_channel(), zero_channel())
+        agi(IDENTITY, ZERO)
 
 
-def test_haar_oracle_matches_trace_formula():
-    est, err = agi_haar_oracle(identity_channel(), identity_channel(), 10_000, seed=1, with_stderr=True)
+def test_haar_oracle_matches_trace_formula(agi_haar_oracle):
+    est, err = agi_haar_oracle(IDENTITY, IDENTITY, 10_000, seed=1, with_stderr=True)
     assert est == 0.0 and err == 0.0
-    est, err = agi_haar_oracle(depolarizing_channel(0.99), identity_channel(), 400_000, seed=2, with_stderr=True)
+    est, err = agi_haar_oracle(depolarizing_channel(0.99), IDENTITY, 400_000, seed=2, with_stderr=True)
     assert abs(est - 0.005) < 3 * err + 1e-12
-    target = identity_channel()
+    target = IDENTITY
     noisy = rotation_channel(Z_AXIS, 0.1)
     est, err = agi_haar_oracle(noisy, target, 400_000, seed=3, with_stderr=True)
     assert abs(est - agi(noisy, target)) < 3 * err
 
 
-def test_haar_oracle_agrees_for_random_tp_maps():
+def test_haar_oracle_agrees_for_random_tp_maps(agi_haar_oracle):
     rng = np.random.default_rng(99)
     failures = 0
     for trial in range(100):
@@ -258,13 +256,13 @@ def _grid_oracle_diamond(a: Superoperator, b: Superoperator) -> float:
 def test_diamond_distance_trivial_cases():
     rot = rotation_channel(Y_AXIS, np.pi / 2)
     assert diamond_distance(rot, rot) == 0.0
-    assert abs(diamond_distance(rot, zero_channel()) - 1.0) < 1e-6
-    assert abs(diamond_distance(depolarizing_channel(0.95), zero_channel()) - 1.0) < 1e-6
+    assert abs(diamond_distance(rot, ZERO) - 1.0) < 1e-6
+    assert abs(diamond_distance(depolarizing_channel(0.95), ZERO) - 1.0) < 1e-6
 
 
 def test_diamond_distance_matches_grid_oracle():
     a = depolarizing_channel(0.9)
-    b = identity_channel()
+    b = IDENTITY
     oracle = _grid_oracle_diamond(a, b)
     value = diamond_distance(a, b)
     assert abs(value - oracle) < 1e-4
@@ -277,8 +275,8 @@ def test_diamond_distance_matches_grid_oracle():
 
 def test_diamond_distance_deterministic():
     a = rotation_channel(Z_AXIS, 0.15) @ depolarizing_channel(0.995)
-    assert diamond_distance(a, identity_channel(), seed=9) == diamond_distance(
-        a, identity_channel(), seed=9
+    assert diamond_distance(a, IDENTITY, seed=9) == diamond_distance(
+        a, IDENTITY, seed=9
     )
 
 
@@ -294,9 +292,9 @@ def test_diamond_submultiplicativity():
     for trial in range(5):
         a = _random_cptp(rng)
         b = _random_cptp(rng)
-        prod_norm = diamond_distance(a @ b, zero_channel(), seed=trial)
-        norm_a = diamond_distance(a, zero_channel(), seed=trial + 100)
-        norm_b = diamond_distance(b, zero_channel(), seed=trial + 200)
+        prod_norm = diamond_distance(a @ b, ZERO, seed=trial)
+        norm_a = diamond_distance(a, ZERO, seed=trial + 100)
+        norm_b = diamond_distance(b, ZERO, seed=trial + 200)
         assert prod_norm <= norm_a * norm_b + 1e-6
 
 
@@ -308,7 +306,7 @@ def test_diamond_measurement_bound():
         a = _random_cptp(rng)
         b = _random_cptp(rng)
         lhs = 2.0 * abs(
-            born_probability(effect, a, state) - born_probability(effect, b, state)
+            effect.coeffs @ a.ptm @ state.coeffs - effect.coeffs @ b.ptm @ state.coeffs
         )
         assert lhs <= diamond_distance(a, b, seed=trial) + 1e-6
 
@@ -326,9 +324,9 @@ def test_diamond_bracket_polishes_amplitude_damping(monkeypatch):
         return minimize(*args, **kwargs)
 
     monkeypatch.setattr(rblab.superop.optimize, "minimize", spy)
-    lower, upper = diamond_bracket(damping, identity_channel())
+    lower, upper = diamond_bracket(damping, IDENTITY)
     assert len(searches) == 1, "a non-unital difference should take the polish path"
-    oracle = _grid_oracle_diamond(damping, identity_channel())
+    oracle = _grid_oracle_diamond(damping, IDENTITY)
     assert abs(lower - oracle) < 1e-4
     assert upper >= oracle - 1e-12
 
@@ -370,7 +368,7 @@ def test_diamond_bracket_properties(a, b):
     lower, upper = diamond_bracket(a, b)
     assert lower <= upper + 1e-12
     state, effect = State.z_plus(), Effect.z_plus()
-    measured = 2.0 * abs(born_probability(effect, a, state) - born_probability(effect, b, state))
+    measured = 2.0 * abs(effect.coeffs @ a.ptm @ state.coeffs - effect.coeffs @ b.ptm @ state.coeffs)
     assert lower >= measured - 1e-12
     swapped_lower, swapped_upper = diamond_bracket(b, a)
     scale = max(1.0, upper)
