@@ -9,17 +9,18 @@ Config schema (unknown keys are rejected at every level)::
 
     {
       "command": "simulate" | "theory" | "sweep" | "gauge-demo" | "counterexample",
-      "seed": 0,                          # optional; --seed overrides
+      "seed": 0,                          # optional integer >= 0; --seed overrides
       "output_dir": "results",            # optional; --out overrides
       "error_model": {                    # simulate / theory / gauge-demo
-        "name": "coherent_z",             # and one of the parameter sets:
-        "theta": 0.1,                     #   coherent_z
-        "rotation_x": [vx, vy, vz],       #   general: theta*axis per primitive
-        "rotation_y": [vx, vy, vz],       #     plus optional "lambda"
-        "lambda": 0.99995,
-        "ptm": [[...]],                   #   gate_independent: 4x4 channel PTM
-        "gx": [[...]], "gy": [[...]]      #   custom: per-primitive PTMs
-      },                                  #   depolarizing: "lambda" only
+        "name": "coherent_z",             # plus exactly the keys of that model:
+        "theta": 0.1                      #   perfect: none
+      },                                  #   coherent_z: "theta"
+                                          #   general: "rotation_x", "rotation_y"
+                                          #     ([vx, vy, vz] = theta*axis per
+                                          #     primitive), optional "lambda" (1.0)
+                                          #   depolarizing: "lambda"
+                                          #   gate_independent: "ptm" (4x4 PTM)
+                                          #   custom: "gx", "gy" (4x4 PTMs)
       "rb": {                             # optional, defaults shown
         "lengths": [1, 51, ...]           #   or {"start": 1, "stop": 2001, "step": 50}
         "k_per_length": 500,
@@ -29,10 +30,10 @@ Config schema (unknown keys are rejected at every level)::
       "theory": {"lengths": [...]},       # theory command; defaults to rb lengths
       "sweep": {"parameter": "theta",     # sweep command (coherent_z models)
                 "grid": [0.05, ...],
-                "repeats": 50},
+                "repeats": 50},           #   >= 2; defaults to rb repeats
       "counterexample": {"lambda": 0.99,
-                         "alpha_grid": [...]   # or {"start", "stop", "num"}
-      },
+                         "alpha_grid": [...]   # or {"start", "stop", "num"};
+      },                                       # default 81 points in [0.9, 1.1]
       "gauge": {"scale": 0.3}             # gauge-demo: random TP gauge size
     }
 
@@ -52,7 +53,6 @@ Commands and their outputs:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -64,122 +64,6 @@ from .superop import Superoperator
 
 __all__ = ["main", "validate", "run"]
 
-_COMMANDS = ("simulate", "theory", "sweep", "gauge-demo", "counterexample")
-_MODEL_NAMES = ("perfect", "coherent_z", "general", "gate_independent", "depolarizing", "custom")
-
-_SECTION_KEYS = {
-    "error_model": {"name", "theta", "rotation_x", "rotation_y", "lambda", "ptm", "gx", "gy"},
-    "rb": {"lengths", "k_per_length", "repeats", "fit_model"},
-    "theory": {"lengths"},
-    "sweep": {"parameter", "grid", "repeats"},
-    "counterexample": {"lambda", "alpha_grid"},
-    "gauge": {"scale"},
-}
-_TOP_KEYS = {"command", "seed", "output_dir", *_SECTION_KEYS}
-_REQUIRED_BY = {  # section: the commands that cannot run without it
-    "error_model": ("simulate", "theory", "gauge-demo"),
-    "sweep": ("sweep",),
-    "counterexample": ("counterexample",),
-}
-
-
-def validate(config: dict) -> list[str]:
-    """Check a config before running it; returns a list of violations.
-
-    Every section present is checked, whatever the command; which sections
-    are required depends on the command. The error model is also built, as
-    the run would build it, so that a model the library rejects (a channel
-    that is not CPTP, say) is reported with the library's own message.
-    Nothing is simulated.
-    """
-    problems: list[str] = []
-    if not isinstance(config, dict):
-        return ["config: must be a JSON object"]
-    for key in config:
-        if key not in _TOP_KEYS:
-            problems.append(f"config: unknown key {key!r}")
-    command = config.get("command")
-    if command not in _COMMANDS:
-        problems.append(f"command: must be one of {list(_COMMANDS)}, got {command!r}")
-    if "seed" in config and not _is_int(config["seed"]):
-        problems.append("seed: must be an integer")
-    if "output_dir" in config and not isinstance(config["output_dir"], str):
-        problems.append("output_dir: must be a string")
-
-    sections: dict[str, dict] = {}
-    for section, allowed in _SECTION_KEYS.items():
-        if section not in config:
-            if command in _REQUIRED_BY.get(section, ()):
-                problems.append(f"{section}: required object for command {command!r}")
-        elif not isinstance(config[section], dict):
-            problems.append(f"{section}: must be an object")
-        else:
-            sections[section] = config[section]
-            problems.extend(f"{section}: unknown key {key!r}" for key in config[section] if key not in allowed)
-
-    if "error_model" in sections:
-        model_problems = _validate_model(sections["error_model"])
-        problems.extend(model_problems)
-        if not model_problems:
-            try:
-                clifford.build_gateset(_build_error_model(sections["error_model"]))
-            except ValueError as exc:
-                problems.append(f"error_model: {exc}")
-
-    rb = sections.get("rb", {})
-    if "k_per_length" in rb and (not _is_int(rb["k_per_length"]) or rb["k_per_length"] < 1):
-        problems.append("rb.k_per_length: must be an integer >= 1")
-    if "repeats" in rb and (not _is_int(rb["repeats"]) or rb["repeats"] < 1):
-        problems.append("rb.repeats: must be an integer >= 1")
-    elif command == "simulate" and rb.get("repeats", protocol.RBConfig.repeats) < 2:
-        problems.append("rb.repeats: command 'simulate' needs at least 2 repeats")
-    fit_model = rb.get("fit_model", "first")
-    if not isinstance(fit_model, str) or fit_model not in protocol.FIT_PARAMETERS:
-        problems.append("rb.fit_model: must be 'zeroth' or 'first'")
-        fit_model = None
-    length_problems = _validate_lengths(rb["lengths"], "rb.lengths") if "lengths" in rb else []
-    problems.extend(length_problems)
-    if command in ("simulate", "sweep") and fit_model and not length_problems:
-        needed = protocol.FIT_PARAMETERS[fit_model]
-        if len(np.unique(_resolve_lengths(rb.get("lengths")))) < needed:
-            problems.append(f"rb.lengths: the {fit_model}-order fit needs at least {needed} distinct lengths")
-
-    if "lengths" in sections.get("theory", {}):
-        problems.extend(_validate_lengths(sections["theory"]["lengths"], "theory.lengths"))
-
-    sweep = sections.get("sweep")
-    if sweep is not None:
-        if sweep.get("parameter", "theta") != "theta":
-            problems.append("sweep.parameter: only 'theta' is supported")
-        grid = sweep.get("grid")
-        if not isinstance(grid, list) or not grid or not all(_is_number(x) for x in grid):
-            problems.append("sweep.grid: must be a non-empty list of numbers")
-        if "repeats" in sweep and (not _is_int(sweep["repeats"]) or sweep["repeats"] < 2):
-            problems.append("sweep.repeats: must be an integer >= 2")
-        elif "repeats" not in sweep and command == "sweep" and rb.get("repeats") == 1:
-            problems.append("sweep.repeats: required when rb.repeats is 1 (the sweep needs at least 2)")
-
-    counter = sections.get("counterexample")
-    if counter is not None:
-        lam = counter.get("lambda")
-        if not _is_number(lam) or not (0.0 <= lam < 1.0):
-            problems.append("counterexample.lambda: must be a number in [0, 1)")
-        grid = counter.get("alpha_grid")
-        if isinstance(grid, dict):
-            if set(grid) != {"start", "stop", "num"}:
-                problems.append("counterexample.alpha_grid: object form needs start, stop, num")
-            elif not all(_is_number(grid[k]) and grid[k] > 0 for k in ("start", "stop")):
-                problems.append("counterexample.alpha_grid: start and stop must be numbers > 0")
-            elif not _is_int(grid["num"]) or grid["num"] < 1:
-                problems.append("counterexample.alpha_grid: num must be an integer >= 1")
-        elif grid is not None and not (isinstance(grid, list) and grid and all(_is_number(a) and a > 0 for a in grid)):
-            problems.append("counterexample.alpha_grid: must be a non-empty list of numbers > 0 or {start, stop, num}")
-
-    if "scale" in sections.get("gauge", {}) and not _is_number(sections["gauge"]["scale"]):
-        problems.append("gauge.scale: must be a number")
-
-    return problems
-
 
 def _is_int(value) -> bool:
     """A JSON integer; JSON booleans load as bool, a subclass of int, and are not numbers."""
@@ -190,98 +74,88 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-def _validate_model(model: dict) -> list[str]:
-    problems = []
-    name = model.get("name")
-    if name not in _MODEL_NAMES:
-        problems.append(f"error_model.name: unknown model {name!r}, expected one of {list(_MODEL_NAMES)}")
-        return problems
-    if name == "coherent_z" and not _is_number(model.get("theta")):
-        problems.append("error_model.theta: required number for coherent_z")
-    if name == "general":
-        for key in ("rotation_x", "rotation_y"):
-            vec = model.get(key)
-            if not (isinstance(vec, list) and len(vec) == 3 and all(_is_number(x) for x in vec)):
-                problems.append(f"error_model.{key}: required 3-vector for general")
-        if "lambda" in model and not _is_number(model["lambda"]):
-            problems.append("error_model.lambda: must be a number")
-    if name == "depolarizing" and not _is_number(model.get("lambda")):
-        problems.append("error_model.lambda: required number for depolarizing")
-    if name == "gate_independent" and not _is_matrix(model.get("ptm")):
-        problems.append("error_model.ptm: required 4x4 matrix for gate_independent")
-    if name == "custom" and (not _is_matrix(model.get("gx")) or not _is_matrix(model.get("gy"))):
-        problems.append("error_model.gx/gy: required 4x4 matrices for custom")
-    return problems
+def _checked(test, message: str, convert=None):
+    """A parser that accepts the values passing `test`, converted by `convert`."""
+
+    def parse(value):
+        if not test(value):
+            raise ValueError(message)
+        return value if convert is None else convert(value)
+
+    return parse
 
 
-def _is_matrix(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) == 4
-        and all(isinstance(row, list) and len(row) == 4 and all(_is_number(x) for x in row) for row in value)
-    )
+def _integer(low: int):
+    return _checked(lambda v: _is_int(v) and v >= low, f"must be an integer >= {low}")
 
 
-def _validate_lengths(value, label: str) -> list[str]:
-    if isinstance(value, dict):
-        if set(value) != {"start", "stop", "step"}:
-            return [f"{label}: object form needs start, stop, step"]
+def _one_of(options, what: str):
+    def parse(value) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise ValueError(f"unknown {what} {value!r}, expected one of {list(options)}")
+        return value
+
+    return parse
+
+
+def _is_list(value, item_test, size: int | None = None) -> bool:
+    """A non-empty list (of `size` items, if given) whose items pass `item_test`."""
+    return isinstance(value, list) and len(value) > 0 and size in (None, len(value)) and all(map(item_test, value))
+
+
+_number = _checked(_is_number, "must be a number", float)
+_probability = _checked(lambda v: _is_number(v) and 0.0 <= v < 1.0, "must be a number in [0, 1)", float)
+_string = _checked(lambda v: isinstance(v, str), "must be a string")
+_numbers = _checked(lambda v: _is_list(v, _is_number), "must be a non-empty list of numbers")
+_vector = _checked(lambda v: _is_list(v, _is_number, 3), "must be a 3-vector of numbers")
+_matrix = _checked(lambda v: _is_list(v, lambda row: _is_list(row, _is_number, 4), 4),
+                   "must be a 4x4 matrix of numbers", lambda v: np.array(v, dtype=float))
+
+
+def _lengths(value) -> tuple[int, ...]:
+    """A list of lengths, or {start, stop, step} for range(start, stop + 1, step)."""
+    if isinstance(value, dict) and set(value) == {"start", "stop", "step"}:
         start, stop, step = value["start"], value["stop"], value["step"]
-        if not all(_is_int(x) and x >= 1 for x in (start, step)):
-            return [f"{label}: start and step must be integers >= 1"]
-        if not _is_number(stop) or stop < start:
-            return [f"{label}: stop must be a number >= start"]
-        return []
-    if isinstance(value, list) and value and all(_is_int(m) and m >= 1 for m in value):
-        return []
-    return [f"{label}: must be a list of integers >= 1 or {{start, stop, step}}"]
+        if _is_int(start) and _is_int(step) and min(start, step) >= 1 and _is_number(stop) and stop >= start:
+            return tuple(range(start, int(stop) + 1, step))
+    elif _is_list(value, lambda m: _is_int(m) and m >= 1):
+        return tuple(value)
+    raise ValueError("must be a list of integers >= 1 or {start, stop, step} (integers >= 1, stop >= start)")
+
+
+def _alpha_grid(value) -> np.ndarray:
+    """A list of alphas, or {start, stop, num} for numpy.linspace."""
+    if isinstance(value, dict) and set(value) == {"start", "stop", "num"}:
+        start, stop, num = value["start"], value["stop"], value["num"]
+        if _is_number(start) and _is_number(stop) and min(start, stop) > 0 and _is_int(num) and num >= 1:
+            return np.linspace(float(start), float(stop), num)
+    elif _is_list(value, lambda a: _is_number(a) and a > 0):
+        return np.asarray([float(a) for a in value])
+    raise ValueError("must be a non-empty list of numbers > 0 or {start, stop, num} (> 0, num an integer)")
+
+
+_REQUIRED = object()  # the default of a key that must be given
+
+# name: ({parameter: (parser, default)}, builder of the error model from the parsed parameters)
+_MODELS = {
+    "perfect": ({}, lambda p: clifford.Perfect()),
+    "coherent_z": ({"theta": (_number, _REQUIRED)}, lambda p: clifford.CoherentZ(p["theta"])),
+    "general": (
+        {"rotation_x": (_vector, _REQUIRED), "rotation_y": (_vector, _REQUIRED), "lambda": (_number, 1.0)},
+        lambda p: clifford.GeneralPrimitive.from_error_vectors(p["rotation_x"], p["rotation_y"], p["lambda"]),
+    ),
+    "depolarizing": ({"lambda": (_number, _REQUIRED)}, lambda p: clifford.GateIndependent.depolarizing(p["lambda"])),
+    "gate_independent": ({"ptm": (_matrix, _REQUIRED)}, lambda p: clifford.GateIndependent(Superoperator(p["ptm"]))),
+    "custom": (
+        {"gx": (_matrix, _REQUIRED), "gy": (_matrix, _REQUIRED)},
+        lambda p: clifford.CustomPrimitive(gx=Superoperator(p["gx"]), gy=Superoperator(p["gy"])),
+    ),
+}
 
 
 # --------------------------------------------------------------------------
-# Execution
+# Execution: a runner takes the parsed values, the config to echo, the output directory
 # --------------------------------------------------------------------------
-
-
-def _resolve_lengths(value) -> tuple[int, ...]:
-    if value is None:
-        return protocol.DEFAULT_LENGTHS
-    if isinstance(value, dict):
-        return tuple(range(int(value["start"]), int(value["stop"]) + 1, int(value["step"])))
-    return tuple(int(m) for m in value)
-
-
-def _build_error_model(model: dict) -> clifford.ErrorModel:
-    name = model["name"]
-    if name == "perfect":
-        return clifford.Perfect()
-    if name == "coherent_z":
-        return clifford.CoherentZ(float(model["theta"]))
-    if name == "general":
-        return clifford.GeneralPrimitive.from_error_vectors(
-            model["rotation_x"], model["rotation_y"], float(model.get("lambda", 1.0))
-        )
-    if name == "depolarizing":
-        return clifford.GateIndependent.depolarizing(float(model["lambda"]))
-    if name == "gate_independent":
-        return clifford.GateIndependent(Superoperator(np.array(model["ptm"], dtype=float)))
-    if name == "custom":
-        return clifford.CustomPrimitive(
-            gx=Superoperator(np.array(model["gx"], dtype=float)),
-            gy=Superoperator(np.array(model["gy"], dtype=float)),
-        )
-    raise ValueError(f"unknown error model {name!r}")
-
-
-def _resolved_config(config: dict, seed: int, out_dir: str) -> dict:
-    resolved = json.loads(json.dumps(config))
-    resolved["seed"] = seed
-    resolved["output_dir"] = out_dir
-    rb = resolved.setdefault("rb", {})
-    rb["lengths"] = list(_resolve_lengths(rb.get("lengths")))
-    rb.setdefault("k_per_length", protocol.RBConfig.k_per_length)
-    rb.setdefault("repeats", protocol.RBConfig.repeats)
-    rb.setdefault("fit_model", "first")
-    return resolved
 
 
 def _fmt(value) -> str:
@@ -300,23 +174,24 @@ def _write_csv(path: Path, columns: list[str], rows: list[tuple], resolved: dict
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict, resolved: dict) -> None:
+    payload = {**payload, "seed": resolved["seed"], "config": resolved}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _rb_config(resolved: dict) -> protocol.RBConfig:
-    rb = resolved["rb"]
+def _rb_config(values: dict, repeats: int) -> protocol.RBConfig:
     return protocol.RBConfig(
-        lengths=tuple(rb["lengths"]),
-        k_per_length=rb["k_per_length"],
-        seed=resolved["seed"],
-        repeats=rb["repeats"],
+        lengths=values["rb.lengths"], k_per_length=values["rb.k_per_length"], seed=values["seed"], repeats=repeats
     )
 
 
-def _run_simulate(resolved: dict, out_dir: Path) -> None:
-    gateset = clifford.build_gateset(_build_error_model(resolved["error_model"]))
-    config = _rb_config(resolved)
+def _sweep_gateset(theta) -> clifford.GateSet:
+    return clifford.build_gateset(clifford.CoherentZ(float(theta)))
+
+
+def _run_simulate(values: dict, resolved: dict, out_dir: Path) -> None:
+    gateset = values["error_model"]
+    config = _rb_config(values, values["rb.repeats"])
     dataset = protocol.run_rb(gateset, config)
     stds = dataset.std_across_sequences()
     rows = [
@@ -324,31 +199,27 @@ def _run_simulate(resolved: dict, out_dir: Path) -> None:
         for m, mean, std, probs in zip(dataset.lengths, dataset.means, stds, dataset.survivals)
     ]
     _write_csv(out_dir / "rb_dataset.csv", ["m", "p_mean", "p_std_across_sequences", "k"], rows, resolved)
-    estimate = protocol.estimate_r(gateset, config, model=resolved["rb"]["fit_model"])
+    estimate = protocol.estimate_r(gateset, config, model=values["rb.fit_model"])
     good = [f for f in estimate.fits if not np.isnan(f.r_hat)]  # "no-decay" fits have no p
     _write_json(
         out_dir / "rb_fit.json",
         {
             "model": good[0].model if good else None,
-            "A": float(np.mean([f.a for f in good])) if good else None,
-            "B": float(np.mean([f.b for f in good])) if good else None,
-            "C": float(np.mean([f.c for f in good])) if good else None,
-            "p": float(np.mean([f.p for f in good])) if good else None,
+            **{key: float(np.mean([getattr(f, key.lower()) for f in good])) if good else None for key in "ABCp"},
             "r_hat": estimate.r_mean,
             "r_std": estimate.r_std,
             "flags": sorted({flag for fit in estimate.fits for flag in fit.flags}),
-            "seed": resolved["seed"],
-            "config": resolved,
         },
+        resolved,
     )
 
 
-def _run_theory(resolved: dict, out_dir: Path) -> None:
-    gateset = clifford.build_gateset(_build_error_model(resolved["error_model"]))
-    lengths = _resolve_lengths(resolved.get("theory", {}).get("lengths") or resolved["rb"]["lengths"])
+def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
+    gateset = values["error_model"]
+    lengths = values["theory.lengths"]
     spectral, exact = theory.exact_decay(gateset, lengths=lengths)
     predicted = theory.predicted_decay(gateset, lengths=lengths)
-    bound = theory.delta_diamond(gateset, seed=resolved["seed"])
+    bound = theory.delta_diamond(gateset, seed=values["seed"])
     gamma_result = theory.gamma_and_r_gamma(theory.build_l_map(gateset))
     rows = [
         (m, pe, pp, pp - bound.delta_diamond, pp + bound.delta_diamond)
@@ -362,33 +233,30 @@ def _run_theory(resolved: dict, out_dir: Path) -> None:
             "r_gamma": gamma_result.r_gamma,
             "delta_diamond": bound.delta_diamond,
             "eigenvalues": [[z.real, z.imag] for z in np.sort_complex(spectral.eigenvalues)],
-            "seed": resolved["seed"],
-            "config": resolved,
         },
+        resolved,
     )
 
 
-def _run_sweep(resolved: dict, out_dir: Path) -> None:
-    sweep = resolved["sweep"]
-    config = dataclasses.replace(_rb_config(resolved), repeats=sweep.get("repeats", resolved["rb"]["repeats"]))
+def _run_sweep(values: dict, resolved: dict, out_dir: Path) -> None:
+    config = _rb_config(values, values["sweep.repeats"])
     rows = []
-    for theta in sweep["grid"]:
-        gateset = clifford.build_gateset(clifford.CoherentZ(float(theta)))
-        estimate = protocol.estimate_r(gateset, config, model=resolved["rb"]["fit_model"])
+    for theta in values["sweep.grid"]:
+        gateset = _sweep_gateset(theta)
+        estimate = protocol.estimate_r(gateset, config, model=values["rb.fit_model"])
         gamma_result = theory.gamma_and_r_gamma(theory.build_l_map(gateset))
         epsilon = gauge.agsi_of(gateset)
         rows.append((theta, estimate.r_mean, estimate.r_std, gamma_result.r_gamma, epsilon))
     _write_csv(out_dir / "sweep.csv", ["theta", "r_hat", "r_std", "r_gamma", "epsilon"], rows, resolved)
 
 
-def _run_gauge_demo(resolved: dict, out_dir: Path) -> None:
-    gateset = clifford.build_gateset(_build_error_model(resolved["error_model"]))
-    scale = resolved.get("gauge", {}).get("scale", 0.3)
-    transform = gauge.GaugeTransform.random_tp(seed=resolved["seed"], scale=scale)
+def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
+    gateset = values["error_model"]
+    transform = gauge.GaugeTransform.random_tp(seed=values["seed"], scale=values["gauge.scale"])
     transformed = transform.transform_gateset(gateset)
     eps_before = gauge.agsi_of(gateset)
     eps_after, min_eig = gauge.infidelity_and_min_choi(transformed.imperfect, gateset.ideal.elements)
-    gamma_result = theory.gamma_and_r_gamma(theory.build_l_map(gateset))
+    wallman = gauge.wallman_gauge(gateset, seed=values["seed"])
     _write_json(
         out_dir / "gauge_report.json",
         {
@@ -396,12 +264,10 @@ def _run_gauge_demo(resolved: dict, out_dir: Path) -> None:
             "epsilon_after": eps_after,
             "all_cp_after": bool(min_eig >= -1e-10),
             "min_choi_eigenvalue_after": min_eig,
-            "r_reference": gamma_result.r_gamma,
-            "seed": resolved["seed"],
-            "config": resolved,
+            "r_reference": wallman.r_gamma,
         },
+        resolved,
     )
-    wallman = gauge.wallman_gauge(gateset, seed=resolved["seed"])
     _write_json(
         out_dir / "wallman.json",
         {
@@ -412,24 +278,15 @@ def _run_gauge_demo(resolved: dict, out_dir: Path) -> None:
             "null_space_dim": wallman.null_space_dim,
             "residual": wallman.residual,
             "l_op_ptm": wallman.l_op.ptm.tolist(),
-            "seed": resolved["seed"],
-            "config": resolved,
         },
+        resolved,
     )
 
 
-def _run_counterexample(resolved: dict, out_dir: Path) -> None:
-    counter = resolved["counterexample"]
-    lam = float(counter["lambda"])
-    grid_spec = counter.get("alpha_grid")
-    if grid_spec is None:
-        grid = np.linspace(0.9, 1.1, 81)
-    elif isinstance(grid_spec, dict):
-        grid = np.linspace(float(grid_spec["start"]), float(grid_spec["stop"]), int(grid_spec["num"]))
-    else:
-        grid = np.asarray([float(a) for a in grid_spec])
+def _run_counterexample(values: dict, resolved: dict, out_dir: Path) -> None:
+    lam = values["counterexample.lambda"]
     gateset = clifford.build_gateset(clifford.GateIndependent.depolarizing(lam))
-    rows = gauge.counterexample_epsilon_min(lam, grid, gateset)
+    rows = gauge.counterexample_epsilon_min(lam, values["counterexample.alpha_grid"], gateset)
     _write_csv(
         out_dir / "counterexample.csv",
         ["alpha", "epsilon", "min_choi_eigenvalue", "all_cp", "r_reference"],
@@ -446,11 +303,156 @@ _RUNNERS = {
     "counterexample": _run_counterexample,
 }
 
+# --------------------------------------------------------------------------
+# Schema and the one parse step that `validate` and `run` share
+# --------------------------------------------------------------------------
+
+# key: (parser, default); a default of None is filled in by _parse (output_dir: by main)
+_TOP = {
+    "command": (_one_of(_RUNNERS, "command"), _REQUIRED),
+    "seed": (_integer(0), 0),
+    "output_dir": (_string, None),
+}
+# section: (commands that cannot run without it, {key: (parser, default)});
+# the keys of error_model are its name and the named model's (_MODELS)
+_SECTIONS = {
+    "error_model": (("simulate", "theory", "gauge-demo"), None),
+    "rb": ((), {
+        "lengths": (_lengths, list(protocol.DEFAULT_LENGTHS)),
+        "k_per_length": (_integer(1), protocol.RBConfig.k_per_length),
+        "repeats": (_integer(1), protocol.RBConfig.repeats),
+        "fit_model": (_one_of(protocol.FIT_PARAMETERS, "fit model"), "first"),
+    }),
+    "theory": ((), {"lengths": (_lengths, None)}),  # None: rb.lengths
+    "sweep": (("sweep",), {
+        "parameter": (_one_of(("theta",), "parameter"), "theta"),
+        "grid": (_numbers, _REQUIRED),
+        "repeats": (_integer(2), None),  # None: rb.repeats
+    }),
+    "counterexample": (("counterexample",), {
+        "lambda": (_probability, _REQUIRED),
+        "alpha_grid": (_alpha_grid, {"start": 0.9, "stop": 1.1, "num": 81}),
+    }),
+    "gauge": ((), {"scale": (_number, 0.3)}),
+}
+
+
+def _parse_keys(prefix: str, raw: dict, spec: dict, problems: list[str]) -> dict:
+    """Parse each key of `spec` from `raw`, or from its default where absent."""
+    problems.extend(f"{prefix or 'config'}: unknown key {key!r}" for key in raw if key not in spec)
+    values = {}
+    for key, (parse, default) in spec.items():
+        label = f"{prefix}.{key}" if prefix else key
+        if key not in raw and default is _REQUIRED:
+            problems.append(f"{label}: required")
+        elif key not in raw and default is None:
+            values[key] = None
+        else:
+            try:
+                values[key] = parse(raw.get(key, default))
+            except ValueError as exc:
+                problems.append(f"{label}: {exc}")
+    return values
+
+
+def _parse_model(raw: dict, problems: list[str]) -> clifford.GateSet | None:
+    """The gateset of an error_model section, built as `run` builds it, so a
+    model the library rejects is reported with the library's message."""
+    try:
+        params, build = _MODELS[_one_of(_MODELS, "model")(raw.get("name"))]
+    except ValueError as exc:
+        problems.append(f"error_model.name: {exc}")
+        return None
+    count = len(problems)
+    values = _parse_keys("error_model", {k: v for k, v in raw.items() if k != "name"}, params, problems)
+    if len(problems) > count:
+        return None
+    try:
+        return clifford.build_gateset(build(values))
+    except ValueError as exc:
+        problems.append(f"error_model: {exc}")
+        return None
+
+
+def _parse(config) -> tuple[dict, list[str]]:
+    """Parse a config into (the values the runners take, its problems).
+
+    Values are keyed "section.key" (top-level keys bare), defaults filled
+    in; "error_model" holds the built gateset. Every section present is
+    checked, whatever the command; the rules across keys once all parse.
+    """
+    if not isinstance(config, dict):
+        return {}, ["config: must be a JSON object"]
+    problems: list[str] = []
+    values = _parse_keys("", {k: v for k, v in config.items() if k not in _SECTIONS}, _TOP, problems)
+    command = values.get("command")
+    for section, (needed_by, spec) in _SECTIONS.items():
+        present = section in config
+        raw = config.get(section, {})
+        if not present and command in needed_by:
+            problems.append(f"{section}: required object for command {command!r}")
+        if not isinstance(raw, dict):
+            problems.append(f"{section}: must be an object")
+        elif spec is None:
+            values[section] = _parse_model(raw, problems) if present else None
+        else:  # an absent section's only problems are its required keys
+            parsed = _parse_keys(section, raw, spec, problems if present else [])
+            values.update((f"{section}.{key}", value) for key, value in parsed.items())
+    if problems:
+        return values, problems
+
+    if values["theory.lengths"] is None:
+        values["theory.lengths"] = values["rb.lengths"]
+    if values["sweep.repeats"] is None:
+        values["sweep.repeats"] = values["rb.repeats"]
+    if command in ("simulate", "sweep"):
+        repeats = "rb.repeats" if command == "simulate" else "sweep.repeats"
+        if values[repeats] < 2:
+            problems.append(f"{repeats}: command {command!r} needs at least 2 repeats")
+        fit_model = values["rb.fit_model"]
+        needed = protocol.FIT_PARAMETERS[fit_model]
+        if len(set(values["rb.lengths"])) < needed:
+            problems.append(f"rb.lengths: the {fit_model}-order fit needs at least {needed} distinct lengths")
+    return values, problems
+
+
+def _resolved_config(config: dict, values: dict, out_dir: str) -> dict:
+    """The config echoed into the outputs: as given, with the seed, the
+    output directory and the whole rb section filled in."""
+    rb = {key: values[f"rb.{key}"] for key in _SECTIONS["rb"][1]}
+    rb["lengths"] = list(rb["lengths"])
+    return {**json.loads(json.dumps(config)), "seed": values["seed"], "output_dir": out_dir, "rb": rb}
+
+
+def validate(config: dict) -> list[str]:
+    """Check a config before running it; returns a list of violations.
+
+    The config is parsed as `run` parses it, which builds the error model;
+    the gatesets of a command that computes gamma (theory, gauge-demo, sweep)
+    must also be in the small-error regime. Nothing is simulated."""
+    values, problems = _parse(config)
+    if problems:
+        return problems
+    command = values["command"]
+    gatesets = {"error_model": values["error_model"]} if command in ("theory", "gauge-demo") else {}
+    if command == "sweep":
+        gatesets = {f"sweep.grid: theta {theta!r}": _sweep_gateset(theta) for theta in values["sweep.grid"]}
+    for label, gateset in gatesets.items():
+        try:
+            theory.gamma_and_r_gamma(theory.build_l_map(gateset))
+        except ValueError as exc:
+            problems.append(f"{label}: {exc}")
+    return problems
+
 
 def run(config: dict, out_dir: Path) -> None:
+    """Run the config's command, writing its outputs into `out_dir`; raises
+    ValueError listing the problems of a config that does not parse."""
+    values, problems = _parse(config)
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = _resolved_config(config, config["seed"], str(out_dir))
-    _RUNNERS[resolved["command"]](resolved, out_dir)
+    _RUNNERS[values["command"]](values, _resolved_config(config, values, str(out_dir)), out_dir)
 
 
 def main(argv=None) -> int:
@@ -467,24 +469,19 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
+    if args.seed is not None and isinstance(config, dict):
+        config["seed"] = args.seed
     problems = validate(config)
+    out, prefix = (sys.stdout, "") if args.validate_only else (sys.stderr, "error: ")
+    for problem in problems:
+        print(prefix + problem, file=out)
+    if problems:
+        return 2
     if args.validate_only:
-        if problems:
-            for problem in problems:
-                print(problem)
-            return 2
         print("config OK")
         return 0
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
 
-    if args.seed is not None:
-        config["seed"] = args.seed
-    config.setdefault("seed", 0)
     out_dir = Path(args.out) if args.out else Path(config.get("output_dir", "rblab-out"))
-
     try:
         run(config, out_dir)
     except Exception as exc:  # surface module errors with context, nonzero exit

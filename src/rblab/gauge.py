@@ -70,7 +70,7 @@ class GaugeTransform:
         object.__setattr__(self, "m_inv", m_inv)
 
     @classmethod
-    def random_tp(cls, seed: int, scale: float = 0.2) -> "GaugeTransform":
+    def random_tp(cls, seed: int, scale: float) -> "GaugeTransform":
         """Identity plus a random perturbation of the 12 non-TP-row entries."""
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         m = np.eye(4)
@@ -272,15 +272,17 @@ def wallman_gauge(gateset: GateSet, seed: int = 0) -> WallmanGauge:
     evaluate the gateset infidelity in the gauge it generates.
 
     vec(L) spans the numerical null space of (M' - D_gamma kron Id) with M'
-    the 16x16 matrix of the primed averaging map; when that space has
-    dimension above one, the combination maximizing invertibility of L is
+    the 16x16 matrix of E -> avg_i[C~_i E C_i^{-1}]: the matrix of
+    `build_l_map` with its entries permuted. When that space has dimension
+    above one, the combination maximizing invertibility of L is
     selected by seeded random search. In this gauge the average error map is
     exactly depolarizing with parameter gamma, so the infidelity equals
     r_gamma; the transformed gates are generally not completely positive,
     and the most negative Choi eigenvalue is reported.
     """
-    l_primed = build_l_map(gateset, primed=True)
-    gamma_result: GammaResult = gamma_and_r_gamma(build_l_map(gateset))
+    l_map = build_l_map(gateset)
+    l_primed = l_map.reshape(4, 4, 4, 4).transpose(3, 2, 1, 0).reshape(16, 16)
+    gamma_result: GammaResult = gamma_and_r_gamma(l_map)
     gamma = gamma_result.gamma
 
     system = l_primed - np.kron(depolarizing_channel(gamma).ptm, np.eye(4))

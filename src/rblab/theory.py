@@ -149,19 +149,15 @@ def exact_decay(
     return decay, values
 
 
-def build_l_map(gateset: GateSet, primed: bool = False) -> np.ndarray:
+def build_l_map(gateset: GateSet) -> np.ndarray:
     """16x16 matrix of E -> avg_i[C_i^{-1} E C~_i] on column-stacked PTMs
-    (vec(A X B) = (B^T kron A) vec(X)); `primed` gives
-    E -> avg_i[C~_i E C_i^{-1}], which has the same spectrum."""
+    (vec(A X B) = (B^T kron A) vec(X))."""
     group = gateset.ideal
     out = np.zeros((16, 16))
     for i in range(len(group)):
         c_inv = group.elements[group.inverse[i]].ptm
         c_tilde = gateset.imperfect[i].ptm
-        if primed:
-            out += np.kron(c_inv.T, c_tilde)
-        else:
-            out += np.kron(c_tilde.T, c_inv)
+        out += np.kron(c_tilde.T, c_inv)
     return out / len(group)
 
 

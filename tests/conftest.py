@@ -94,6 +94,22 @@ def reference_ptm_to_choi():
     return _reference_ptm_to_choi()
 
 
+def _reference_primed_l_map(gateset):
+    """16x16 matrix of E -> avg_i[C~_i E C_i^{-1}] on column-stacked PTMs,
+    summed term by term as kron(C_i^{-T}, C~_i), as an independent check of
+    the permutation of `rblab.theory.build_l_map` that `wallman_gauge` uses."""
+    group = gateset.ideal
+    out = np.zeros((16, 16))
+    for i in range(len(group)):
+        out += np.kron(group.elements[group.inverse[i]].ptm.T, gateset.imperfect[i].ptm)
+    return out / len(group)
+
+
+@pytest.fixture(scope="session")
+def reference_primed_l_map():
+    return _reference_primed_l_map
+
+
 @pytest.fixture(scope="session")
 def group():
     return generate_clifford_group()

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rblab.cli import main, validate
+import rblab.cli
+from rblab.cli import main, run, validate
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -96,12 +97,19 @@ NOT_CP_PTM = np.diag([1.0, 1.5, 1.5, 1.5]).tolist()
         (dict(BASE_SIMULATE, error_model={"name": "gate_independent", "ptm": NOT_CP_PTM}), "error_model"),
         (dict(BASE_SIMULATE, error_model={"name": "custom", "gx": NOT_CP_PTM, "gy": NOT_CP_PTM}), "error_model"),
         (_with(BASE_COUNTER, counterexample={"alpha_grid": []}), "counterexample.alpha_grid"),
+        (dict(BASE_SIMULATE, seed=-1), "seed"),
+        (dict(BASE_SIMULATE, command="theory", error_model={"name": "perfect"}), "error_model"),
+        (dict(BASE_GAUGE, error_model={"name": "perfect"}), "error_model"),
+        (_with(BASE_SWEEP, sweep={"grid": [0.0, 0.3]}), "sweep.grid"),
+        (dict(BASE_SIMULATE, error_model={"name": "depolarizing", "lambda": 0.99, "theta": 0.1,
+                                          "ptm": [[1, 0, 0, 0]] * 4}), "error_model: unknown key"),
     ],
     ids=["simulate-one-repeat", "sweep-one-repeat", "too-few-lengths-for-fit", "repeated-lengths", "zero-step",
          "zero-start", "empty-range", "theory-zero-step", "alpha-grid-zero", "alpha-grid-string",
          "alpha-grid-bad-object", "gauge-scale-string", "bool-seed", "bool-k-per-length", "bool-repeats",
          "bool-length", "bool-theta", "bool-lambda", "bool-rotation", "bool-sweep-grid", "unused-section-unknown-key",
-         "depolarizing-not-cp", "general-not-cp", "gate-independent-not-cp", "custom-not-cp", "alpha-grid-empty"],
+         "depolarizing-not-cp", "general-not-cp", "gate-independent-not-cp", "custom-not-cp", "alpha-grid-empty",
+         "negative-seed", "theory-perfect", "gauge-demo-perfect", "sweep-theta-zero", "key-of-another-model"],
 )
 def test_validate_rejects_configs_that_cannot_run(tmp_path, capsys, config, field):
     assert any(p.startswith(field) for p in validate(config)), validate(config)
@@ -115,6 +123,35 @@ def test_validate_accepts_configs_that_run():
     assert validate(_with(BASE_SIMULATE, rb={"lengths": [1, 51, 101], "fit_model": "zeroth"})) == []
     assert validate(_with(BASE_SWEEP, rb={"repeats": 1})) == []
     assert validate(dict(_with(BASE_SIMULATE, rb={"repeats": 1}), command="theory")) == []
+
+
+def test_negative_seed_override_is_rejected(tmp_path, capsys):
+    path = _write_config(tmp_path, BASE_GAUGE)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--seed", "-5"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_what_validate_rejects(tmp_path):
+    with pytest.raises(ValueError, match="error_model: required object"):
+        run({"command": "simulate"}, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_defaults_the_seed_to_zero(tmp_path):
+    config = {"command": "counterexample", "counterexample": {"lambda": 0.99, "alpha_grid": [1.0]}}
+    run(config, tmp_path)
+    echoed = json.loads((tmp_path / "counterexample.csv").read_text().splitlines()[0][len("# config: "):])
+    assert echoed["seed"] == 0
+
+
+def test_docstring_names_every_model_section_and_key():
+    doc = rblab.cli.__doc__
+    for name, (params, _) in rblab.cli._MODELS.items():
+        assert all(f'"{key}"' in doc for key in params) and name in doc, name
+    for section, (_, keys) in rblab.cli._SECTIONS.items():
+        assert all(f'"{key}"' in doc for key in keys or ()) and f'"{section}"' in doc, section
+    assert all(f'"{key}"' in doc for key in rblab.cli._TOP)
 
 
 def test_readme_examples_validate():

@@ -12,8 +12,6 @@ from rblab import (
     agi,
     average_error_map,
     build_gateset,
-    compile_cliffords,
-    depolarizing_channel,
     error_maps,
 )
 from rblab.clifford import ideal_primitives

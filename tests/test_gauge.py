@@ -187,10 +187,10 @@ def test_epsilon_min_search_monotone_in_restarts(depolarizing_gateset):
     assert more.epsilon_min_estimate <= few.epsilon_min_estimate + 1e-15
 
 
-def test_wallman_gauge_gate_independent(depolarizing_gateset):
+def test_wallman_gauge_gate_independent(depolarizing_gateset, reference_primed_l_map):
     lam = 0.99
     # the error channel itself solves the defining equation
-    l_primed = build_l_map(depolarizing_gateset, primed=True)
+    l_primed = reference_primed_l_map(depolarizing_gateset)
     from rblab.superop import unvec, vec
 
     candidate = depolarizing_channel(lam).ptm

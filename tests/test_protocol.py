@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from rblab import (
-    CoherentZ,
-    GateIndependent,
     RBConfig,
     RBDataset,
     Spam,
-    build_gateset,
     circuit_survivals,
     estimate_r,
     fit_decay,

@@ -90,11 +90,15 @@ def test_l_map_gate_independent_spectrum(depolarizing_gateset):
     assert np.max(eigs[2:]) < 1e-12  # 0 with multiplicity 14
 
 
-def test_primed_map_has_same_spectrum(coherent_gateset, general_gateset):
-    for gateset in (coherent_gateset, general_gateset):
-        plain = np.sort_complex(np.linalg.eigvals(build_l_map(gateset, primed=False)))
-        primed = np.sort_complex(np.linalg.eigvals(build_l_map(gateset, primed=True)))
-        assert np.max(np.abs(plain - primed)) < 1e-10
+def test_primed_map_is_a_permutation_of_l_map(
+    reference_primed_l_map, coherent_gateset, general_gateset, depolarizing_gateset, perfect_gateset
+):
+    # kron(A, B)[(i, k), (j, l)] = A[i, j] B[k, l], so each term of the primed
+    # sum is a term of the plain one with its four indices reversed: the same
+    # products, summed in the same order, hence bitwise equal
+    for gateset in (coherent_gateset, general_gateset, depolarizing_gateset, perfect_gateset):
+        permuted = build_l_map(gateset).reshape(4, 4, 4, 4).transpose(3, 2, 1, 0).reshape(16, 16)
+        assert np.array_equal(permuted, reference_primed_l_map(gateset))
 
 
 def test_gamma_gate_independent(depolarizing_gateset):
