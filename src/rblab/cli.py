@@ -185,10 +185,6 @@ def _rb_config(values: dict, repeats: int) -> protocol.RBConfig:
     )
 
 
-def _sweep_gateset(theta) -> clifford.GateSet:
-    return clifford.build_gateset(clifford.CoherentZ(float(theta)))
-
-
 def _run_simulate(values: dict, resolved: dict, out_dir: Path) -> None:
     gateset = values["error_model"]
     config = _rb_config(values, values["rb.repeats"])
@@ -217,10 +213,11 @@ def _run_simulate(values: dict, resolved: dict, out_dir: Path) -> None:
 def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
     gateset = values["error_model"]
     lengths = values["theory.lengths"]
+    l_map = theory.build_l_map(gateset)
     spectral, exact = theory.exact_decay(gateset, lengths=lengths)
-    predicted = theory.predicted_decay(gateset, lengths=lengths)
+    predicted = theory.predicted_decay(gateset, lengths=lengths, l_map=l_map)
     bound = theory.delta_diamond(gateset, seed=values["seed"])
-    gamma_result = theory.gamma_and_r_gamma(theory.build_l_map(gateset))
+    gamma_result = theory.gamma_and_r_gamma(l_map)
     rows = [
         (m, pe, pp, pp - bound.delta_diamond, pp + bound.delta_diamond)
         for m, pe, pp in zip(lengths, exact, predicted)
@@ -241,8 +238,7 @@ def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
 def _run_sweep(values: dict, resolved: dict, out_dir: Path) -> None:
     config = _rb_config(values, values["sweep.repeats"])
     rows = []
-    for theta in values["sweep.grid"]:
-        gateset = _sweep_gateset(theta)
+    for theta, gateset in zip(values["sweep.grid"], values["sweep.gatesets"]):
         estimate = protocol.estimate_r(gateset, config, model=values["rb.fit_model"])
         gamma_result = theory.gamma_and_r_gamma(theory.build_l_map(gateset))
         epsilon = gauge.agsi_of(gateset)
@@ -378,7 +374,8 @@ def _parse(config) -> tuple[dict, list[str]]:
     """Parse a config into (the values the runners take, its problems).
 
     Values are keyed "section.key" (top-level keys bare), defaults filled
-    in; "error_model" holds the built gateset. Every section present is
+    in; "error_model" holds the built gateset and, for a sweep,
+    "sweep.gatesets" the gateset of each theta. Every section present is
     checked, whatever the command; the rules across keys once all parse.
     """
     if not isinstance(config, dict):
@@ -405,6 +402,9 @@ def _parse(config) -> tuple[dict, list[str]]:
         values["theory.lengths"] = values["rb.lengths"]
     if values["sweep.repeats"] is None:
         values["sweep.repeats"] = values["rb.repeats"]
+    if command == "sweep":
+        grid = values["sweep.grid"]
+        values["sweep.gatesets"] = [clifford.build_gateset(clifford.CoherentZ(float(theta))) for theta in grid]
     if command in ("simulate", "sweep"):
         repeats = "rb.repeats" if command == "simulate" else "sweep.repeats"
         if values[repeats] < 2:
@@ -424,25 +424,36 @@ def _resolved_config(config: dict, values: dict, out_dir: str) -> dict:
     return {**json.loads(json.dumps(config)), "seed": values["seed"], "output_dir": out_dir, "rb": rb}
 
 
+def _validate(config) -> tuple[dict, list[str]]:
+    """`_parse`, plus the check that the gatesets of a command that computes
+    gamma (theory, gauge-demo, sweep) are in the small-error regime."""
+    values, problems = _parse(config)
+    if problems:
+        return values, problems
+    command = values["command"]
+    gatesets = {"error_model": values["error_model"]} if command in ("theory", "gauge-demo") else {}
+    if command == "sweep":
+        gatesets = {f"sweep.grid: theta {t!r}": g for t, g in zip(values["sweep.grid"], values["sweep.gatesets"])}
+    for label, gateset in gatesets.items():
+        try:
+            theory.gamma_and_r_gamma(theory.build_l_map(gateset))
+        except ValueError as exc:
+            problems.append(f"{label}: {exc}")
+    return values, problems
+
+
 def validate(config: dict) -> list[str]:
     """Check a config before running it; returns a list of violations.
 
     The config is parsed as `run` parses it, which builds the error model;
     the gatesets of a command that computes gamma (theory, gauge-demo, sweep)
     must also be in the small-error regime. Nothing is simulated."""
-    values, problems = _parse(config)
-    if problems:
-        return problems
-    command = values["command"]
-    gatesets = {"error_model": values["error_model"]} if command in ("theory", "gauge-demo") else {}
-    if command == "sweep":
-        gatesets = {f"sweep.grid: theta {theta!r}": _sweep_gateset(theta) for theta in values["sweep.grid"]}
-    for label, gateset in gatesets.items():
-        try:
-            theory.gamma_and_r_gamma(theory.build_l_map(gateset))
-        except ValueError as exc:
-            problems.append(f"{label}: {exc}")
-    return problems
+    return _validate(config)[1]
+
+
+def _execute(config: dict, values: dict, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _RUNNERS[values["command"]](values, _resolved_config(config, values, str(out_dir)), out_dir)
 
 
 def run(config: dict, out_dir: Path) -> None:
@@ -451,8 +462,7 @@ def run(config: dict, out_dir: Path) -> None:
     values, problems = _parse(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[values["command"]](values, _resolved_config(config, values, str(out_dir)), out_dir)
+    _execute(config, values, out_dir)
 
 
 def main(argv=None) -> int:
@@ -471,7 +481,7 @@ def main(argv=None) -> int:
 
     if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed
-    problems = validate(config)
+    values, problems = _validate(config)  # parsed once: the run takes these values
     out, prefix = (sys.stdout, "") if args.validate_only else (sys.stderr, "error: ")
     for problem in problems:
         print(prefix + problem, file=out)
@@ -483,7 +493,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out) if args.out else Path(config.get("output_dir", "rblab-out"))
     try:
-        run(config, out_dir)
+        _execute(config, values, out_dir)
     except Exception as exc:  # surface module errors with context, nonzero exit
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -4,9 +4,11 @@ One sequence engine serves every caller: `sequence_inversions` finds each
 sequence's inverting gate with the group tables (no matrix algebra), and
 `circuit_survivals` gives the exact Born survival probabilities of a batch of
 circuits, so the only randomness is the choice of sequences (no shot noise).
-Every sequence length draws from its own RNG stream derived from (seed,
-length index), and `repeat_datasets` derives each repeat's seed from (seed,
-repeat index), so results do not depend on evaluation order.
+Both step a batch of any lengths at once, and `run_rb` steps its lengths in
+such batches. Every sequence length draws from its own RNG stream derived
+from (seed, length index), and `repeat_datasets` derives each repeat's seed
+from (seed, repeat index), so results do not depend on evaluation order or
+batching.
 """
 
 from __future__ import annotations
@@ -124,47 +126,125 @@ class RBEstimate:
 # Sequence sampling and survival probabilities
 # --------------------------------------------------------------------------
 
+# A batch of circuits is laid out step-major, one byte per gate index
+# (|C| = 24), longest circuit first: row t of the layout holds step t of the
+# rows still running, a prefix, so each step is one call over the whole
+# batch however many lengths it mixes.
+_GATE_INDEX = np.uint8
 
-def sequence_inversions(group, sequences: np.ndarray) -> np.ndarray:
+# The most gate indices (cells of the (steps, rows) layout) one `run_rb`
+# batch holds; a batch always takes at least one length. The default 41 x
+# 500 run in one batch lays out 41 M cells, and its peak memory rises by
+# about 49 MiB. At 2**21 it runs in 13 batches of 2 to 7 lengths, its peak
+# memory stays below that of stepping one length at a time, and most steps
+# still cover 1,000 rows or more, where the fixed cost of a step is small
+# next to the per-row work.
+_BATCH_INDICES = 2**21
+
+
+def _step_major(blocks, spare: int = 0):
+    """Lay (k_i, L_i) index blocks out step-major, longest first (ties in
+    block order), with `spare` free steps after each row's last index.
+    Returns (gates, ends, rows): gates[t, r] is row r's index at step t for
+    t < ends[r], ends is non-increasing, and rows[i] is block i's slice."""
+    order = sorted(range(len(blocks)), key=lambda i: -blocks[i].shape[1])
+    ends = np.repeat([blocks[i].shape[1] for i in order], [len(blocks[i]) for i in order])
+    gates = np.empty((ends.max(initial=0) + spare, len(ends)), dtype=_GATE_INDEX)
+    rows = [slice(0, 0)] * len(blocks)
+    start = 0
+    for i in order:
+        rows[i] = slice(start, start + len(blocks[i]))
+        gates[: blocks[i].shape[1], rows[i]] = blocks[i].T
+        start = rows[i].stop
+    return gates, ends, rows
+
+
+def _running(ends: np.ndarray, steps: int) -> list[int]:
+    """Rows still running at each step: the count of non-increasing `ends` above it."""
+    return np.searchsorted(-ends, -np.arange(steps), side="left").tolist()
+
+
+def _fold_inversions(group, gates: np.ndarray, ends: np.ndarray) -> None:
+    """Write each row's inverting Clifford into step ends[r] of a step-major
+    layout, folding its first ends[r] indices (applied in order, every
+    ends[r] >= 1) through the Cayley table."""
+    size = len(group)
+    after = (size * group.cayley.T).ravel()  # after[size * p + g] = size * cayley[g, p]
+    running = _running(ends, len(gates))
+    products = size * gates[0].astype(np.intp)  # each row's product so far, times size
+    for t in range(1, len(gates)):
+        stop, done = running[t], running[t - 1]
+        if stop < done:  # rows whose sequences ended: their inversions go here
+            gates[t, stop:done] = group.inverse[products[stop:done] // size]
+        np.take(after, products[:stop] + gates[t, :stop], out=products[:stop])
+
+
+def _step_survivals(ptms: np.ndarray, gates: np.ndarray, ends: np.ndarray, rows, spam: Spam) -> list[np.ndarray]:
+    """Exact survival of every row of a step-major layout after its ends[r]
+    steps, one array per block of `rows`."""
+    states = np.broadcast_to(spam.state.coeffs, (gates.shape[1], 4)).copy()
+    for step, width in zip(gates, _running(ends, len(gates))):
+        states[:width] = np.einsum("nij,nj->ni", np.take(ptms, step[:width], axis=0), states[:width])
+    # one product per block, as if each were alone: BLAS sums a one-row
+    # product in another order than a many-row one
+    return [states[r] @ spam.effect.coeffs for r in rows]
+
+
+def sequence_inversions(group, sequences):
     """Index of the inverting Clifford of every row of an (n, m) batch of
-    Clifford indices (applied left to right), from the Cayley and inverse
-    tables alone."""
-    products = sequences[:, 0]
-    for t in range(1, sequences.shape[1]):
-        products = group.cayley[sequences[:, t], products]
-    return group.inverse[products]
+    Clifford indices (applied left to right, m >= 1), from the Cayley and
+    inverse tables alone. Given a list of such blocks of any lengths, returns
+    one array per block."""
+    bare = isinstance(sequences, np.ndarray)  # a batch of one block
+    gates, ends, rows = _step_major([sequences] if bare else sequences, spare=1)
+    _fold_inversions(group, gates, ends)
+    inversions = gates[ends, np.arange(len(ends))].astype(np.intp)
+    return inversions if bare else [inversions[r] for r in rows]
 
 
-def circuit_survivals(ptms: np.ndarray, circuits: np.ndarray, spam: Spam) -> np.ndarray:
+def circuit_survivals(ptms: np.ndarray, circuits, spam: Spam):
     """Exact survival probabilities of an (n, L) batch of circuits, each row
-    listing indices into the (|C|, 4, 4) PTM stack in the order applied."""
-    states = np.broadcast_to(spam.state.coeffs, (circuits.shape[0], 4)).copy()
-    # one contiguous row of native indices per step: no per-step index cast
-    for step in np.ascontiguousarray(circuits.T, dtype=np.intp):
-        states = np.matmul(ptms[step], states[:, :, None])[:, :, 0]
-    return states @ spam.effect.coeffs
+    listing indices into the (|C|, 4, 4) PTM stack in the order applied.
+    Given a list of such blocks of any lengths, returns one array per block."""
+    bare = isinstance(circuits, np.ndarray)  # a batch of one block
+    per_block = _step_survivals(ptms, *_step_major([circuits] if bare else circuits), spam)
+    return per_block[0] if bare else per_block
 
 
-def _draw_circuits(group, rng: np.random.Generator, k: int, m: int) -> np.ndarray:
-    """k uniform length-m sequences, each completed by its inversion. The
-    indices fit in a byte, so the (k, m+1) batch is an eighth of the draw,
-    and the draw is freed before the kernel runs."""
-    sequences = rng.integers(0, len(group), size=(k, m))
-    circuits = np.empty((k, m + 1), dtype=np.min_scalar_type(len(group) - 1))
-    circuits[:, :m] = sequences
-    circuits[:, m] = sequence_inversions(group, sequences)
-    return circuits
+def _draw_sequences(group, rng: np.random.Generator, k: int, m: int) -> np.ndarray:
+    """k uniform length-m sequences, one byte per index."""
+    return rng.integers(0, len(group), size=(k, m)).astype(_GATE_INDEX)
+
+
+def _batches(lengths, k: int):
+    """Length indices, longest first (ties in index order), cut into batches
+    whose step-major layout holds at most _BATCH_INDICES gate indices."""
+    batch: list[int] = []
+    for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
+        if batch and (lengths[batch[0]] + 1) * k * (len(batch) + 1) > _BATCH_INDICES:
+            yield batch
+            batch = []
+        batch.append(i)
+    if batch:
+        yield batch
 
 
 def run_rb(gateset: GateSet, config: RBConfig) -> RBDataset:
     """Simulate the RB protocol: K(m) random self-inverting sequences per
     length, exact survival probabilities, and their per-length means."""
-    ptms = gateset.imperfect_stack()
-    survivals = []
-    for length_index, m in enumerate(config.lengths):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, length_index]))
-        circuits = _draw_circuits(gateset.ideal, rng, config.k_per_length, m)
-        survivals.append(circuit_survivals(ptms, circuits, config.spam))
+    group, ptms = gateset.ideal, gateset.imperfect_stack()
+    lengths, k = config.lengths, config.k_per_length
+    survivals = [None] * len(lengths)
+    for batch in _batches(lengths, k):
+        blocks = [
+            _draw_sequences(group, np.random.default_rng(np.random.SeedSequence([config.seed, i])), k, lengths[i])
+            for i in batch
+        ]
+        gates, ends, rows = _step_major(blocks, spare=1)
+        del blocks  # the layout holds them now
+        _fold_inversions(group, gates, ends)
+        for i, probs in zip(batch, _step_survivals(ptms, gates, ends + 1, rows, config.spam)):
+            survivals[i] = probs
     return RBDataset(
         lengths=config.lengths,
         survivals=tuple(survivals),

@@ -193,12 +193,14 @@ def predicted_decay(
     gateset: GateSet,
     spam: Spam | None = None,
     lengths=(1,),
+    l_map: np.ndarray | None = None,
 ) -> np.ndarray:
     """Approximate decay Tr(E Lbar [L^m(Id)](rho)) by iterated application
-    of the 16x16 map to the vectorized identity channel."""
+    of the 16x16 map to the vectorized identity channel; `l_map` is the
+    gateset's `build_l_map`, built here when not given."""
     spam = spam if spam is not None else Spam.ideal()
     lengths = np.asarray([int(m) for m in np.atleast_1d(lengths)])
-    l_matrix = build_l_map(gateset)
+    l_matrix = build_l_map(gateset) if l_map is None else l_map
     lbar = average_error_map(gateset).ptm
     eff, rho = spam.effect.coeffs, spam.state.coeffs
 

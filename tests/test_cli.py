@@ -62,6 +62,12 @@ BASE_SWEEP = {
 SWEEP_WITHOUT_REPEATS = dict(BASE_SWEEP, sweep={"parameter": "theta", "grid": [0.2, 0.3]})
 BASE_COUNTER = {"command": "counterexample", "seed": 2, "counterexample": {"lambda": 0.99}}
 BASE_GAUGE = {"command": "gauge-demo", "seed": 11, "error_model": {"name": "depolarizing", "lambda": 0.99}}
+THEORY_CONFIG = {
+    "command": "theory",
+    "seed": 3,
+    "error_model": {"name": "coherent_z", "theta": 0.1},
+    "theory": {"lengths": [1, 2, 51]},
+}
 NOT_CP_PTM = np.diag([1.0, 1.5, 1.5, 1.5]).tolist()
 
 
@@ -201,13 +207,7 @@ def test_simulate_perfect_gateset_flags_no_decay(tmp_path):
 
 
 def test_theory_command_outputs(tmp_path):
-    config = {
-        "command": "theory",
-        "seed": 3,
-        "error_model": {"name": "coherent_z", "theta": 0.1},
-        "theory": {"lengths": [1, 2, 51]},
-    }
-    path = _write_config(tmp_path, config)
+    path = _write_config(tmp_path, THEORY_CONFIG)
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out)]) == 0
     lines = (out / "theory_decay.csv").read_text().splitlines()
@@ -229,6 +229,35 @@ def test_sweep_command_outputs(tmp_path):
     assert len(lines) == 4
     theta, r_hat, r_std, r_gamma, epsilon = (float(x) for x in lines[2].split(","))
     assert theta == 0.2 and epsilon > r_gamma
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("config, gatesets", [(THEORY_CONFIG, 1), (BASE_SWEEP, 2)], ids=["theory", "sweep"])
+def test_main_parses_the_config_once(tmp_path, monkeypatch, config, gatesets):
+    # one gateset per error model or sweep theta, shared by validation and the run
+    builds = _counting(monkeypatch, rblab.cli.clifford, "build_gateset")
+    path = _write_config(tmp_path, config)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == gatesets
+
+
+def test_theory_run_builds_one_l_map(tmp_path, monkeypatch):
+    # gamma and the predicted decay share one L map
+    l_maps = _counting(monkeypatch, rblab.cli.theory, "build_l_map")
+    run(THEORY_CONFIG, tmp_path / "out")
+    assert len(l_maps) == 1
 
 
 def test_gauge_demo_outputs(tmp_path):

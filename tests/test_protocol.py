@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from rblab import (
+    Effect,
     RBConfig,
     RBDataset,
     Spam,
+    State,
     circuit_survivals,
     estimate_r,
     fit_decay,
@@ -16,9 +18,10 @@ from rblab import (
     sequence_inversions,
 )
 from rblab.cli import main
-from rblab.protocol import _draw_circuits
+from rblab.protocol import _BATCH_INDICES, _batches, _draw_sequences
 
 LENGTHS = tuple(range(1, 2002, 50))
+TILTED = np.array([1.0, 0.3, -0.5, np.sqrt(1.0 - 0.34)]) / np.sqrt(2.0)  # a pure state's Pauli vector
 
 
 def _dataset_from_means(lengths, means):
@@ -73,7 +76,7 @@ def test_identity_sequence_inverts_to_identity(group):
 def test_first_index_uniform_chi_square(group):
     rng = np.random.default_rng(123)
     draws = 100_000
-    first = _draw_circuits(group, rng, draws, 1)[:, 0]
+    first = _draw_sequences(group, rng, draws, 1)[:, 0]
     counts = np.bincount(first, minlength=24)
     expected = draws / 24.0
     sigma = np.sqrt(draws * (1 / 24) * (23 / 24))
@@ -188,6 +191,61 @@ def test_run_rb_matches_reference_loop_bitwise(gateset_name, request, reference_
         assert np.array_equal(probs, reference_survivals(gateset, sequences)), f"m = {m}"
 
 
+def _assert_matches_reference(gateset, config, reference_survivals):
+    dataset = run_rb(gateset, config)
+    assert dataset.lengths == config.lengths
+    for length_index, (m, probs) in enumerate(zip(config.lengths, dataset.survivals)):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, length_index]))
+        sequences = rng.integers(0, 24, size=(config.k_per_length, m))
+        expected = reference_survivals(gateset, sequences, config.spam)
+        assert np.array_equal(probs, expected), f"length {length_index}: m = {m}"
+        assert dataset.means[length_index] == probs.mean()
+
+
+def test_run_rb_ragged_batches_match_reference_bitwise(coherent_gateset, reference_survivals):
+    # unsorted, repeated lengths; k is set so that the two 255s fill one batch
+    # exactly and the rest fall into a second
+    lengths = (255, 100, 255, 17, 100)
+    k = _BATCH_INDICES // (2 * 256)
+    assert [sorted(batch) for batch in _batches(lengths, k)] == [[0, 2], [1, 3, 4]]
+    _assert_matches_reference(coherent_gateset, RBConfig(lengths=lengths, k_per_length=k, seed=3), reference_survivals)
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["ideal-spam", "tilted-spam"])
+def test_run_rb_one_sequence_per_length_matches_reference_bitwise(general_gateset, reference_survivals, tilted):
+    # with a tilted effect every Pauli component enters the final product
+    spam = Spam(State(TILTED), Effect(TILTED)) if tilted else Spam.ideal()
+    config = RBConfig(lengths=(5, 1, 30, 5, 2, 1), k_per_length=1, seed=8, spam=spam)
+    _assert_matches_reference(general_gateset, config, reference_survivals)
+
+
+def test_batches_respect_the_index_cap():
+    lengths = tuple(range(1, 2002, 50))
+    batches = list(_batches(lengths, 500))
+    assert sorted(i for batch in batches for i in batch) == list(range(len(lengths)))
+    for batch in batches:
+        assert [lengths[i] for i in batch] == sorted((lengths[i] for i in batch), reverse=True)
+        assert len(batch) == 1 or (lengths[batch[0]] + 1) * 500 * len(batch) <= _BATCH_INDICES
+    # a single length over the cap is a batch of its own
+    assert list(_batches((5, 10**6, 7), 10)) == [[1], [2, 0]]
+
+
+def test_blocks_match_one_by_one_bitwise(general_gateset, group):
+    rng = np.random.default_rng(19)
+    ptms = general_gateset.imperfect_stack()
+    shapes = [(7, 3), (1, 40), (12, 3), (5, 1), (9, 17)]
+    sequences = [rng.integers(0, 24, size=shape) for shape in shapes]
+    inversions = sequence_inversions(group, sequences)
+    assert len(inversions) == len(shapes)
+    for block, inverted in zip(sequences, inversions):
+        assert np.array_equal(inverted, sequence_inversions(group, block))
+    circuits = [np.column_stack([block, inverted]) for block, inverted in zip(sequences, inversions)]
+    survivals = circuit_survivals(ptms, circuits, Spam.ideal())
+    assert len(survivals) == len(shapes)
+    for block, probs in zip(circuits, survivals):
+        assert np.array_equal(probs, circuit_survivals(ptms, block, Spam.ideal()))
+
+
 def test_dataset_validation_and_csv(tmp_path):
     with pytest.raises(ValueError, match="lie in"):
         RBDataset(lengths=(1,), survivals=(np.array([1.5]),), means=np.array([1.5]))
@@ -295,8 +353,6 @@ def test_estimate_json_payload(tmp_path):
 
 def test_spam_override_changes_asymptote(depolarizing_gateset):
     # a tilted preparation lowers every survival but the decay base survives
-    from rblab import Effect, State
-
     tilted = Spam(
         state=State(np.array([1.0, 0.3, 0.0, np.sqrt(1.0 - 0.09)]) / np.sqrt(2.0)),
         effect=Effect.z_plus(),
