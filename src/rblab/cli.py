@@ -213,7 +213,7 @@ def _run_simulate(values: dict, resolved: dict, out_dir: Path) -> None:
 def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
     gateset = values["error_model"]
     lengths = values["theory.lengths"]
-    l_map = theory.build_l_map(gateset)
+    (l_map,) = values["l_maps"]
     spectral, exact = theory.exact_decay(gateset, lengths=lengths)
     predicted = theory.predicted_decay(gateset, lengths=lengths, l_map=l_map)
     bound = theory.delta_diamond(gateset, seed=values["seed"])
@@ -238,9 +238,9 @@ def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
 def _run_sweep(values: dict, resolved: dict, out_dir: Path) -> None:
     config = _rb_config(values, values["sweep.repeats"])
     rows = []
-    for theta, gateset in zip(values["sweep.grid"], values["sweep.gatesets"]):
+    for theta, gateset, l_map in zip(values["sweep.grid"], values["sweep.gatesets"], values["l_maps"]):
         estimate = protocol.estimate_r(gateset, config, model=values["rb.fit_model"])
-        gamma_result = theory.gamma_and_r_gamma(theory.build_l_map(gateset))
+        gamma_result = theory.gamma_and_r_gamma(l_map)
         epsilon = gauge.agsi_of(gateset)
         rows.append((theta, estimate.r_mean, estimate.r_std, gamma_result.r_gamma, epsilon))
     _write_csv(out_dir / "sweep.csv", ["theta", "r_hat", "r_std", "r_gamma", "epsilon"], rows, resolved)
@@ -252,7 +252,8 @@ def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
     transformed = transform.transform_gateset(gateset)
     eps_before = gauge.agsi_of(gateset)
     eps_after, min_eig = gauge.infidelity_and_min_choi(transformed.imperfect, gateset.ideal.elements)
-    wallman = gauge.wallman_gauge(gateset, seed=values["seed"])
+    (l_map,) = values["l_maps"]
+    wallman = gauge.wallman_gauge(gateset, seed=values["seed"], l_map=l_map)
     _write_json(
         out_dir / "gauge_report.json",
         {
@@ -370,13 +371,23 @@ def _parse_model(raw: dict, problems: list[str]) -> clifford.GateSet | None:
         return None
 
 
+def _checked_gatesets(values: dict) -> dict:
+    """The gatesets of a command that computes gamma (theory, gauge-demo,
+    sweep), keyed by the label of their problems."""
+    command = values["command"]
+    if command == "sweep":
+        return {f"sweep.grid: theta {t!r}": g for t, g in zip(values["sweep.grid"], values["sweep.gatesets"])}
+    return {"error_model": values["error_model"]} if command in ("theory", "gauge-demo") else {}
+
+
 def _parse(config) -> tuple[dict, list[str]]:
     """Parse a config into (the values the runners take, its problems).
 
     Values are keyed "section.key" (top-level keys bare), defaults filled
     in; "error_model" holds the built gateset and, for a sweep,
-    "sweep.gatesets" the gateset of each theta. Every section present is
-    checked, whatever the command; the rules across keys once all parse.
+    "sweep.gatesets" the gateset of each theta, and "l_maps" the `L` map of
+    each of `_checked_gatesets`, in order. Every section present is checked,
+    whatever the command; the rules across keys once all parse.
     """
     if not isinstance(config, dict):
         return {}, ["config: must be a JSON object"]
@@ -405,6 +416,7 @@ def _parse(config) -> tuple[dict, list[str]]:
     if command == "sweep":
         grid = values["sweep.grid"]
         values["sweep.gatesets"] = [clifford.build_gateset(clifford.CoherentZ(float(theta))) for theta in grid]
+    values["l_maps"] = [theory.build_l_map(gateset) for gateset in _checked_gatesets(values).values()]
     if command in ("simulate", "sweep"):
         repeats = "rb.repeats" if command == "simulate" else "sweep.repeats"
         if values[repeats] < 2:
@@ -426,17 +438,14 @@ def _resolved_config(config: dict, values: dict, out_dir: str) -> dict:
 
 def _validate(config) -> tuple[dict, list[str]]:
     """`_parse`, plus the check that the gatesets of a command that computes
-    gamma (theory, gauge-demo, sweep) are in the small-error regime."""
+    gamma are in the small-error regime, checked on the `L` maps that the
+    runner takes from the values."""
     values, problems = _parse(config)
     if problems:
         return values, problems
-    command = values["command"]
-    gatesets = {"error_model": values["error_model"]} if command in ("theory", "gauge-demo") else {}
-    if command == "sweep":
-        gatesets = {f"sweep.grid: theta {t!r}": g for t, g in zip(values["sweep.grid"], values["sweep.gatesets"])}
-    for label, gateset in gatesets.items():
+    for label, l_map in zip(_checked_gatesets(values), values["l_maps"]):
         try:
-            theory.gamma_and_r_gamma(theory.build_l_map(gateset))
+            theory.gamma_and_r_gamma(l_map)
         except ValueError as exc:
             problems.append(f"{label}: {exc}")
     return values, problems

@@ -267,7 +267,7 @@ class WallmanGauge:
     residual: float
 
 
-def wallman_gauge(gateset: GateSet, seed: int = 0) -> WallmanGauge:
+def wallman_gauge(gateset: GateSet, seed: int = 0, l_map: np.ndarray | None = None) -> WallmanGauge:
     """Construct the channel L with avg_i[C~_i L C_i^{-1}] = L D_gamma and
     evaluate the gateset infidelity in the gauge it generates.
 
@@ -278,9 +278,10 @@ def wallman_gauge(gateset: GateSet, seed: int = 0) -> WallmanGauge:
     selected by seeded random search. In this gauge the average error map is
     exactly depolarizing with parameter gamma, so the infidelity equals
     r_gamma; the transformed gates are generally not completely positive,
-    and the most negative Choi eigenvalue is reported.
+    and the most negative Choi eigenvalue is reported. `l_map` is the
+    gateset's `build_l_map`, built here when not given.
     """
-    l_map = build_l_map(gateset)
+    l_map = build_l_map(gateset) if l_map is None else l_map
     l_primed = l_map.reshape(4, 4, 4, 4).transpose(3, 2, 1, 0).reshape(16, 16)
     gamma_result: GammaResult = gamma_and_r_gamma(l_map)
     gamma = gamma_result.gamma

@@ -9,11 +9,27 @@ such batches. Every sequence length draws from its own RNG stream derived
 from (seed, length index), and `repeat_datasets` derives each repeat's seed
 from (seed, repeat index), so results do not depend on evaluation order or
 batching.
+
+`run_rb` spreads its batches over worker processes, one per CPU this process
+may run on (`os.sched_getaffinity`, so `taskset` and cpusets count), with no
+setting: each batch does the same arithmetic wherever it runs, so the
+outputs do not depend on the number of workers. It steps them in-process
+when there is one batch, one usable CPU, no "fork" start method, or when it
+runs in a daemonic process, which may start no children. The pool
+is made and joined inside each call. Workers are forked, not spawned: a
+spawned worker would import numpy and scipy again on every call. A process
+that has threads may deadlock a forked child if a lock is held at the fork;
+numpy's OpenBLAS keeps a thread pool, and Python 3.12 and later warn about
+every such fork (a DeprecationWarning that rblab leaves visible).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -132,14 +148,17 @@ class RBEstimate:
 # batch however many lengths it mixes.
 _GATE_INDEX = np.uint8
 
-# The most gate indices (cells of the (steps, rows) layout) one `run_rb`
-# batch holds; a batch always takes at least one length. The default 41 x
-# 500 run in one batch lays out 41 M cells, and its peak memory rises by
-# about 49 MiB. At 2**21 it runs in 13 batches of 2 to 7 lengths, its peak
-# memory stays below that of stepping one length at a time, and most steps
-# still cover 1,000 rows or more, where the fixed cost of a step is small
-# next to the per-row work.
-_BATCH_INDICES = 2**21
+# The bytes one `run_rb` batch may take: one per gate index of its (steps,
+# rows) layout, plus _ROW_BYTES of floats per row (while a row runs, each
+# step gathers its 4x4 PTM, 128 B, and holds its state, 32 B), so a batch of
+# many short rows is bounded as well as one of few long ones. A batch always
+# takes at least one length. Each worker holds one batch at a time, so the
+# budget bounds every process. At 2**21 the default 41 x 500 run takes 15
+# batches of 1 to 7 lengths, enough to balance over a few workers, and most
+# steps still cover 1,000 rows or more, where the fixed cost of a step is
+# small next to the per-row work.
+_ROW_BYTES = 160
+_BATCH_BYTES = 2**21
 
 
 def _step_major(blocks, spare: int = 0):
@@ -218,10 +237,12 @@ def _draw_sequences(group, rng: np.random.Generator, k: int, m: int) -> np.ndarr
 
 def _batches(lengths, k: int):
     """Length indices, longest first (ties in index order), cut into batches
-    whose step-major layout holds at most _BATCH_INDICES gate indices."""
+    of at most _BATCH_BYTES: k rows per length, each taking its gate indices
+    (one per step of the batch's longest length, plus its inversion) and
+    _ROW_BYTES."""
     batch: list[int] = []
     for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
-        if batch and (lengths[batch[0]] + 1) * k * (len(batch) + 1) > _BATCH_INDICES:
+        if batch and k * (len(batch) + 1) * (lengths[batch[0]] + 1 + _ROW_BYTES) > _BATCH_BYTES:
             yield batch
             batch = []
         batch.append(i)
@@ -229,22 +250,50 @@ def _batches(lengths, k: int):
         yield batch
 
 
+def _simulate_batch(group, ptms: np.ndarray, config: RBConfig, batch: list[int]) -> list[np.ndarray]:
+    """Survival probabilities of the lengths config.lengths[i], i in `batch`:
+    k_per_length sequences each, drawn from the stream of (seed, i), one
+    array per length."""
+    blocks = [
+        _draw_sequences(group, np.random.default_rng(np.random.SeedSequence([config.seed, i])),
+                        config.k_per_length, config.lengths[i])
+        for i in batch
+    ]
+    gates, ends, rows = _step_major(blocks, spare=1)
+    del blocks  # the layout holds them now
+    _fold_inversions(group, gates, ends)
+    return _step_survivals(ptms, gates, ends + 1, rows, config.spam)
+
+
+def _workers(batches: int) -> int:
+    """Worker processes for `batches` batches: one per CPU this process may
+    run on, at most one per batch; 1 (step in-process) in a daemonic process
+    (a `multiprocessing.Pool` worker may start no children) or where the
+    platform cannot fork or tell which CPUs are usable."""
+    if (
+        multiprocessing.current_process().daemon
+        or not hasattr(os, "sched_getaffinity")
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return min(batches, len(os.sched_getaffinity(0)))
+
+
 def run_rb(gateset: GateSet, config: RBConfig) -> RBDataset:
     """Simulate the RB protocol: K(m) random self-inverting sequences per
     length, exact survival probabilities, and their per-length means."""
-    group, ptms = gateset.ideal, gateset.imperfect_stack()
-    lengths, k = config.lengths, config.k_per_length
-    survivals = [None] * len(lengths)
-    for batch in _batches(lengths, k):
-        blocks = [
-            _draw_sequences(group, np.random.default_rng(np.random.SeedSequence([config.seed, i])), k, lengths[i])
-            for i in batch
-        ]
-        gates, ends, rows = _step_major(blocks, spare=1)
-        del blocks  # the layout holds them now
-        _fold_inversions(group, gates, ends)
-        for i, probs in zip(batch, _step_survivals(ptms, gates, ends + 1, rows, config.spam)):
-            survivals[i] = probs
+    batches = list(_batches(config.lengths, config.k_per_length))
+    simulate = partial(_simulate_batch, gateset.ideal, gateset.imperfect_stack(), config)
+    workers = _workers(len(batches))
+    if workers < 2:
+        per_batch = map(simulate, batches)
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            per_batch = list(pool.map(simulate, batches))
+    survivals = [None] * len(config.lengths)
+    for batch, probs in zip(batches, per_batch):
+        for i, p in zip(batch, probs):
+            survivals[i] = p
     return RBDataset(
         lengths=config.lengths,
         survivals=tuple(survivals),

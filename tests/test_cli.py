@@ -253,6 +253,21 @@ def test_main_parses_the_config_once(tmp_path, monkeypatch, config, gatesets):
     assert len(builds) == gatesets
 
 
+@pytest.mark.parametrize(
+    "config, gatesets", [(THEORY_CONFIG, 1), (BASE_SWEEP, 2), (BASE_GAUGE, 1)], ids=["theory", "sweep", "gauge-demo"]
+)
+def test_main_builds_each_checked_l_map_once(tmp_path, monkeypatch, config, gatesets):
+    # the small-error check and the runner share one L map per gateset
+    l_maps = _counting(monkeypatch, rblab.cli.theory, "build_l_map")
+    monkeypatch.setattr(rblab.gauge, "build_l_map", rblab.cli.theory.build_l_map)  # wallman_gauge's binding
+    path = _write_config(tmp_path, config)
+    assert main(["--config", str(path), "--out", str(tmp_path / "main")]) == 0
+    assert len(l_maps) == gatesets
+    # run, which does not check, builds them once too
+    run(config, tmp_path / "run")
+    assert len(l_maps) == 2 * gatesets
+
+
 def test_theory_run_builds_one_l_map(tmp_path, monkeypatch):
     # gamma and the predicted decay share one L map
     l_maps = _counting(monkeypatch, rblab.cli.theory, "build_l_map")

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from itertools import product
 
 import numpy as np
@@ -18,7 +20,7 @@ from rblab import (
     sequence_inversions,
 )
 from rblab.cli import main
-from rblab.protocol import _BATCH_INDICES, _batches, _draw_sequences
+from rblab.protocol import _BATCH_BYTES, _ROW_BYTES, _batches, _draw_sequences, _workers
 
 LENGTHS = tuple(range(1, 2002, 50))
 TILTED = np.array([1.0, 0.3, -0.5, np.sqrt(1.0 - 0.34)]) / np.sqrt(2.0)  # a pure state's Pauli vector
@@ -204,9 +206,9 @@ def _assert_matches_reference(gateset, config, reference_survivals):
 
 def test_run_rb_ragged_batches_match_reference_bitwise(coherent_gateset, reference_survivals):
     # unsorted, repeated lengths; k is set so that the two 255s fill one batch
-    # exactly and the rest fall into a second
+    # and the rest fall into a second
     lengths = (255, 100, 255, 17, 100)
-    k = _BATCH_INDICES // (2 * 256)
+    k = _BATCH_BYTES // (2 * (256 + _ROW_BYTES))
     assert [sorted(batch) for batch in _batches(lengths, k)] == [[0, 2], [1, 3, 4]]
     _assert_matches_reference(coherent_gateset, RBConfig(lengths=lengths, k_per_length=k, seed=3), reference_survivals)
 
@@ -219,15 +221,61 @@ def test_run_rb_one_sequence_per_length_matches_reference_bitwise(general_gatese
     _assert_matches_reference(general_gateset, config, reference_survivals)
 
 
+def _batch_bytes(lengths, k, batch):
+    """What `_batches` counts for a batch: k rows per length, each its gate
+    indices (the longest length's steps plus one) and _ROW_BYTES."""
+    return k * len(batch) * (max(lengths[i] for i in batch) + 1 + _ROW_BYTES)
+
+
 def test_batches_respect_the_index_cap():
     lengths = tuple(range(1, 2002, 50))
     batches = list(_batches(lengths, 500))
     assert sorted(i for batch in batches for i in batch) == list(range(len(lengths)))
     for batch in batches:
         assert [lengths[i] for i in batch] == sorted((lengths[i] for i in batch), reverse=True)
-        assert len(batch) == 1 or (lengths[batch[0]] + 1) * 500 * len(batch) <= _BATCH_INDICES
+        assert len(batch) == 1 or _batch_bytes(lengths, 500, batch) <= _BATCH_BYTES
+    # enough batches that two or more workers can share them evenly
+    assert len(batches) >= 4
     # a single length over the cap is a batch of its own
     assert list(_batches((5, 10**6, 7), 10)) == [[1], [2, 0]]
+
+
+def test_batches_count_rows_against_the_budget():
+    # short lengths, many rows: few index cells, but each row's float working
+    # set alone puts any two of these lengths over the budget
+    lengths, k = (1, 2, 3, 4), 200_000
+    assert _batch_bytes(lengths, k, [0, 1]) > _BATCH_BYTES
+    assert list(_batches(lengths, k)) == [[3], [2], [1], [0]]
+
+
+def test_run_rb_does_not_depend_on_the_worker_count(coherent_gateset):
+    config = RBConfig(lengths=(1, 2, 51, 2001), k_per_length=500, seed=0)
+    assert len(list(_batches(config.lengths, config.k_per_length))) >= 2
+    pooled = run_rb(coherent_gateset, config)
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(usable)})
+    try:
+        assert _workers(2) == 1
+        serial = run_rb(coherent_gateset, config)
+    finally:
+        os.sched_setaffinity(0, usable)
+    for m, a, b in zip(config.lengths, pooled.survivals, serial.survivals):
+        assert np.array_equal(a, b), f"m = {m}"
+
+
+def test_run_rb_leaves_no_worker_running(coherent_gateset):
+    config = RBConfig(lengths=(1, 2001), k_per_length=500, seed=2)
+    assert len(list(_batches(config.lengths, config.k_per_length))) == 2
+    run_rb(coherent_gateset, config)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_rb_in_a_daemonic_process(coherent_gateset):
+    # a multiprocessing.Pool worker is daemonic and may start no children
+    config = RBConfig(lengths=(1, 2001), k_per_length=500, seed=2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:  # terminated on exit
+        dataset = pool.apply_async(run_rb, (coherent_gateset, config)).get(timeout=120)
+    assert np.array_equal(dataset.means, run_rb(coherent_gateset, config).means)
 
 
 def test_blocks_match_one_by_one_bitwise(general_gateset, group):

@@ -5,13 +5,16 @@
 Two shapes: the `simulate` one (41 lengths 1..2001 x 500 sequences) and the
 `sweep` one (21 lengths 1..201 x 20 sequences), both on coherent_z with
 theta = 0.1. Each shape runs `run_rb` on seeds 0..N-1 after one warm-up
-call and reports the median seconds per call and gate applications (PTM
-steps, k * (m + 1) per length) per second. The time is split into the
+call and reports the median seconds per call, gate applications (PTM
+steps, k * (m + 1) per length) per second, and the worker processes
+`run_rb` spreads its batches over. The stages are timed apart on the same
+seeds by running the batch helper, `_simulate_batch`, in this process over
+the same batches (in a worker, a timer set here would read nothing): the
 inversion fold (folded sequence indices, k * m per length, per second) and
-the survival step (gate applications per second) by timing the module
-functions that `run_rb` calls for them; the rest is sampling and layout.
-Only numpy and the standard library are used. With --out, the result is
-stored under --label in that JSON file, next to the labels already there.
+the survival step (gate applications per second) are the module functions
+the helper calls for them; the rest is sampling and layout. Only numpy and
+the standard library are used. With --out, the result is stored under
+--label in that JSON file, next to the labels already there.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import platform
 import statistics
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -34,19 +38,14 @@ SHAPES = {
     "simulate": {"lengths": tuple(range(1, 2002, 50)), "k_per_length": 500},
     "sweep": {"lengths": tuple(range(1, 202, 10)), "k_per_length": 20},
 }
-# the protocol functions that `run_rb` calls for each stage, first found is
-# timed: the ragged-batch loops, or the per-length primitives of the engine
-# that stepped one length at a time
-STAGES = {
-    "fold": ("_fold_inversions", "sequence_inversions"),
-    "step": ("_step_survivals", "circuit_survivals"),
-}
+# the protocol function that the batch helper calls for each stage
+STAGES = {"fold": "_fold_inversions", "step": "_step_survivals"}
 
 
 def _timed(stage_seconds: dict, stage: str):
-    """Wrap the protocol function of `stage` so each call adds its time."""
-    name = next(name for name in STAGES[stage] if hasattr(protocol, name))
-    original = getattr(protocol, name)
+    """Wrap the protocol function of `stage` so each call adds its time;
+    returns the original."""
+    original = getattr(protocol, STAGES[stage])
 
     def wrapper(*args, **kwargs):
         start = perf_counter()
@@ -55,43 +54,57 @@ def _timed(stage_seconds: dict, stage: str):
         finally:
             stage_seconds[stage] += perf_counter() - start
 
-    setattr(protocol, name, wrapper)
-    return name, original
+    setattr(protocol, STAGES[stage], wrapper)
+    return original
 
 
 def bench_shape(gateset, lengths, k_per_length: int, repeats: int) -> dict:
-    stage_seconds = {stage: 0.0 for stage in STAGES}
     config = RBConfig(lengths=lengths, k_per_length=k_per_length)
+    batches = list(protocol._batches(lengths, k_per_length))
     protocol.run_rb(gateset, config)  # warm-up, untimed
-    patched = [_timed(stage_seconds, stage) for stage in STAGES]
-    totals, stages = [], {stage: [] for stage in STAGES}
+    totals = []
+    for seed in range(repeats):
+        start = perf_counter()
+        protocol.run_rb(gateset, replace(config, seed=seed))
+        totals.append(perf_counter() - start)
+
+    simulate = partial(protocol._simulate_batch, gateset.ideal, gateset.imperfect_stack())
+    stage_seconds = {stage: 0.0 for stage in STAGES}
+    originals = {stage: _timed(stage_seconds, stage) for stage in STAGES}
+    in_process, stages = [], {stage: [] for stage in STAGES}
     try:
         for seed in range(repeats):
             for stage in STAGES:
                 stage_seconds[stage] = 0.0
+            seeded = replace(config, seed=seed)
             start = perf_counter()
-            protocol.run_rb(gateset, replace(config, seed=seed))
-            totals.append(perf_counter() - start)
+            for batch in batches:
+                simulate(seeded, batch)
+            in_process.append(perf_counter() - start)
             for stage in STAGES:
                 stages[stage].append(stage_seconds[stage])
     finally:
-        for name, original in patched:
-            setattr(protocol, name, original)
+        for stage, original in originals.items():
+            setattr(protocol, STAGES[stage], original)
     folded = k_per_length * sum(lengths)
     applied = k_per_length * sum(m + 1 for m in lengths)
-    run_s, fold_s, step_s = (statistics.median(v) for v in (totals, stages["fold"], stages["step"]))
+    run_s, in_process_s, fold_s, step_s = (
+        statistics.median(v) for v in (totals, in_process, stages["fold"], stages["step"])
+    )
     return {
         "lengths": len(lengths),
         "k_per_length": k_per_length,
         "gate_apps": applied,
+        "batches": len(batches),
+        "workers": protocol._workers(len(batches)),
         "run_rb_s": run_s,
         "run_rb_s_all": totals,
         "gate_apps_per_s": applied / run_s,
+        "in_process_s": in_process_s,
         "fold_s": fold_s,
         "fold_indices_per_s": folded / fold_s,
         "step_s": step_s,
         "step_gate_apps_per_s": applied / step_s,
-        "timed_functions": [name for name, _ in patched],
     }
 
 
@@ -109,6 +122,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "repeats": args.repeats,
     }
     print(json.dumps(result, indent=2))
