@@ -213,11 +213,10 @@ def _run_simulate(values: dict, resolved: dict, out_dir: Path) -> None:
 def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
     gateset = values["error_model"]
     lengths = values["theory.lengths"]
-    (l_map,) = values["l_maps"]
+    (l_map,), (gamma_result,) = values["l_maps"], values["gammas"]
     spectral, exact = theory.exact_decay(gateset, lengths=lengths)
     predicted = theory.predicted_decay(gateset, lengths=lengths, l_map=l_map)
     bound = theory.delta_diamond(gateset, seed=values["seed"])
-    gamma_result = theory.gamma_and_r_gamma(l_map)
     rows = [
         (m, pe, pp, pp - bound.delta_diamond, pp + bound.delta_diamond)
         for m, pe, pp in zip(lengths, exact, predicted)
@@ -238,9 +237,8 @@ def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
 def _run_sweep(values: dict, resolved: dict, out_dir: Path) -> None:
     config = _rb_config(values, values["sweep.repeats"])
     rows = []
-    for theta, gateset, l_map in zip(values["sweep.grid"], values["sweep.gatesets"], values["l_maps"]):
+    for theta, gateset, gamma_result in zip(values["sweep.grid"], values["sweep.gatesets"], values["gammas"]):
         estimate = protocol.estimate_r(gateset, config, model=values["rb.fit_model"])
-        gamma_result = theory.gamma_and_r_gamma(l_map)
         epsilon = gauge.agsi_of(gateset)
         rows.append((theta, estimate.r_mean, estimate.r_std, gamma_result.r_gamma, epsilon))
     _write_csv(out_dir / "sweep.csv", ["theta", "r_hat", "r_std", "r_gamma", "epsilon"], rows, resolved)
@@ -281,9 +279,7 @@ def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
 
 
 def _run_counterexample(values: dict, resolved: dict, out_dir: Path) -> None:
-    lam = values["counterexample.lambda"]
-    gateset = clifford.build_gateset(clifford.GateIndependent.depolarizing(lam))
-    rows = gauge.counterexample_epsilon_min(lam, values["counterexample.alpha_grid"], gateset)
+    rows = gauge.counterexample_epsilon_min(values["counterexample.lambda"], values["counterexample.alpha_grid"])
     _write_csv(
         out_dir / "counterexample.csv",
         ["alpha", "epsilon", "min_choi_eigenvalue", "all_cp", "r_reference"],
@@ -371,23 +367,16 @@ def _parse_model(raw: dict, problems: list[str]) -> clifford.GateSet | None:
         return None
 
 
-def _checked_gatesets(values: dict) -> dict:
-    """The gatesets of a command that computes gamma (theory, gauge-demo,
-    sweep), keyed by the label of their problems."""
-    command = values["command"]
-    if command == "sweep":
-        return {f"sweep.grid: theta {t!r}": g for t, g in zip(values["sweep.grid"], values["sweep.gatesets"])}
-    return {"error_model": values["error_model"]} if command in ("theory", "gauge-demo") else {}
-
-
 def _parse(config) -> tuple[dict, list[str]]:
     """Parse a config into (the values the runners take, its problems).
 
     Values are keyed "section.key" (top-level keys bare), defaults filled
     in; "error_model" holds the built gateset and, for a sweep,
-    "sweep.gatesets" the gateset of each theta, and "l_maps" the `L` map of
-    each of `_checked_gatesets`, in order. Every section present is checked,
-    whatever the command; the rules across keys once all parse.
+    "sweep.gatesets" the gateset of each theta. A command that computes
+    gamma (theory, gauge-demo, sweep) also needs its gatesets in the
+    small-error regime: "l_maps" holds the `L` map of each, in order, and
+    "gammas" its `GammaResult`. Every section present is checked, whatever
+    the command; the rules across keys once all parse.
     """
     if not isinstance(config, dict):
         return {}, ["config: must be a JSON object"]
@@ -413,10 +402,18 @@ def _parse(config) -> tuple[dict, list[str]]:
         values["theory.lengths"] = values["rb.lengths"]
     if values["sweep.repeats"] is None:
         values["sweep.repeats"] = values["rb.repeats"]
+    checked = {"error_model": values["error_model"]} if command in ("theory", "gauge-demo") else {}
     if command == "sweep":
         grid = values["sweep.grid"]
         values["sweep.gatesets"] = [clifford.build_gateset(clifford.CoherentZ(float(theta))) for theta in grid]
-    values["l_maps"] = [theory.build_l_map(gateset) for gateset in _checked_gatesets(values).values()]
+        checked = {f"sweep.grid: theta {t!r}": g for t, g in zip(grid, values["sweep.gatesets"])}
+    values["l_maps"] = [theory.build_l_map(gateset) for gateset in checked.values()]
+    values["gammas"] = []
+    for label, l_map in zip(checked, values["l_maps"]):
+        try:
+            values["gammas"].append(theory.gamma_and_r_gamma(l_map))
+        except ValueError as exc:
+            problems.append(f"{label}: {exc}")
     if command in ("simulate", "sweep"):
         repeats = "rb.repeats" if command == "simulate" else "sweep.repeats"
         if values[repeats] < 2:
@@ -436,28 +433,13 @@ def _resolved_config(config: dict, values: dict, out_dir: str) -> dict:
     return {**json.loads(json.dumps(config)), "seed": values["seed"], "output_dir": out_dir, "rb": rb}
 
 
-def _validate(config) -> tuple[dict, list[str]]:
-    """`_parse`, plus the check that the gatesets of a command that computes
-    gamma are in the small-error regime, checked on the `L` maps that the
-    runner takes from the values."""
-    values, problems = _parse(config)
-    if problems:
-        return values, problems
-    for label, l_map in zip(_checked_gatesets(values), values["l_maps"]):
-        try:
-            theory.gamma_and_r_gamma(l_map)
-        except ValueError as exc:
-            problems.append(f"{label}: {exc}")
-    return values, problems
-
-
 def validate(config: dict) -> list[str]:
     """Check a config before running it; returns a list of violations.
 
     The config is parsed as `run` parses it, which builds the error model;
     the gatesets of a command that computes gamma (theory, gauge-demo, sweep)
     must also be in the small-error regime. Nothing is simulated."""
-    return _validate(config)[1]
+    return _parse(config)[1]
 
 
 def _execute(config: dict, values: dict, out_dir: Path) -> None:
@@ -490,7 +472,7 @@ def main(argv=None) -> int:
 
     if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed
-    values, problems = _validate(config)  # parsed once: the run takes these values
+    values, problems = _parse(config)  # parsed once: the run takes these values
     out, prefix = (sys.stdout, "") if args.validate_only else (sys.stderr, "error: ")
     for problem in problems:
         print(prefix + problem, file=out)

@@ -97,25 +97,11 @@ def generate_clifford_group() -> CliffordGroup:
     Breadth-first closure discovers exactly 24 distinct PTMs; the identity is
     element 0.
     """
-    prims = ideal_primitives()
-    prim_ptms = [prims[name].ptm for name in PRIMITIVE_NAMES]
-
-    identity = np.eye(4)
-    elements: list[np.ndarray] = [identity]
-    index_of: dict[bytes, int] = {_key(identity): 0}
-    queue: deque[np.ndarray] = deque([identity])
-    while queue:
-        current = queue.popleft()
-        for prim in prim_ptms:
-            candidate = prim @ current
-            key = _key(candidate)
-            if key not in index_of:
-                index_of[key] = len(elements)
-                elements.append(candidate)
-                queue.append(candidate)
+    elements = [ptm for ptm, _ in _closure(ideal_primitives())]
     if len(elements) != 24:
         raise RuntimeError(f"Clifford closure produced {len(elements)} elements, expected 24")
 
+    index_of = {_key(e): i for i, e in enumerate(elements)}
     size = len(elements)
     cayley = np.empty((size, size), dtype=np.intp)
     for i in range(size):
@@ -140,6 +126,24 @@ def _key(ptm: np.ndarray) -> bytes:
     return np.rint(ptm).astype(np.int8).tobytes()
 
 
+def _closure(prims: dict[str, Superoperator]):
+    """Breadth-first closure of the primitives under composition, from the
+    identity: yields each distinct PTM once, in order of discovery, with its
+    shortest word (Gx tried before Gy at every step, `prim @ current`)."""
+    identity = np.eye(4)
+    seen = {_key(identity)}
+    queue: deque[tuple[np.ndarray, tuple[str, ...]]] = deque([(identity, ())])
+    while queue:
+        current, word = queue.popleft()
+        yield current, word
+        for name in PRIMITIVE_NAMES:
+            candidate = prims[name].ptm @ current
+            key = _key(candidate)
+            if key not in seen:
+                seen.add(key)
+                queue.append((candidate, word + (name,)))
+
+
 def compile_cliffords(group: CliffordGroup) -> tuple[tuple[str, ...], ...]:
     """Shortest {Gx, Gy} word for every Clifford by breadth-first search,
     indexed like the group's elements.
@@ -151,23 +155,12 @@ def compile_cliffords(group: CliffordGroup) -> tuple[tuple[str, ...], ...]:
     prims = ideal_primitives()
     target_index = {_key(e.ptm): i for i, e in enumerate(group.elements)}
 
-    words: dict[int, tuple[str, ...]] = {group.identity_index: ()}
-    queue: deque[tuple[np.ndarray, tuple[str, ...]]] = deque([(np.eye(4), ())])
-    seen = {_key(np.eye(4))}
-    while queue and len(words) < len(group.elements):
-        current, word = queue.popleft()
-        for name in PRIMITIVE_NAMES:
-            candidate = prims[name].ptm @ current
-            key = _key(candidate)
-            if key in seen:
-                continue
-            seen.add(key)
-            new_word = word + (name,)
-            idx = target_index.get(key)
-            if idx is None:
-                raise RuntimeError("BFS reached a PTM outside the group")
-            words[idx] = new_word
-            queue.append((candidate, new_word))
+    words: dict[int, tuple[str, ...]] = {}
+    for ptm, word in _closure(prims):
+        idx = target_index.get(_key(ptm))
+        if idx is None:
+            raise RuntimeError("BFS reached a PTM outside the group")
+        words[idx] = word
     if len(words) != len(group.elements):
         raise RuntimeError("compilation search did not reach every Clifford")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from .clifford import GateSet
+from .clifford import GateIndependent, GateSet, build_gateset
 from .protocol import Spam
 from .superop import (
     PTM_TO_CHOI,
@@ -139,18 +139,18 @@ class CounterexampleRow:
     r_reference: float
 
 
-def counterexample_epsilon_min(lam: float, alpha_grid, gateset: GateSet) -> list[CounterexampleRow]:
-    """Sweep the diagonal gauge family over a depolarizing gateset.
+def counterexample_epsilon_min(lam: float, alpha_grid) -> list[CounterexampleRow]:
+    """Sweep the diagonal gauge family over the gateset that implements D_lam
+    at the Clifford level, for which r equals (1 - lam)/2 exactly.
 
-    The input gateset must implement D_lam at the Clifford level, for which
-    r equals (1 - lam)/2 exactly. For each alpha the transformed gateset is
-    scored by its infidelity to the standard Cliffords and by complete
-    positivity of all 24 gates; the closed-form per-gate AGI
-    (3 - lam (alpha^2 + alpha + 1)/alpha) / 6 applies to every gate that
-    moves the y axis.
+    For each alpha the transformed gateset is scored by its infidelity to the
+    standard Cliffords and by complete positivity of all 24 gates; the
+    closed-form per-gate AGI (3 - lam (alpha^2 + alpha + 1)/alpha) / 6
+    applies to every gate that moves the y axis.
     """
     if not (0.0 <= lam < 1.0):
         raise ValueError("lam must lie in [0, 1)")
+    gateset = build_gateset(GateIndependent.depolarizing(lam))
     ideal = gateset.ideal.elements
     r_reference = agi(depolarizing_channel(lam), Superoperator(np.eye(4)))
     rows = []

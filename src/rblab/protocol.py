@@ -1,14 +1,14 @@
 """Randomized benchmarking simulation and decay fitting.
 
-One sequence engine serves every caller: `sequence_inversions` finds each
-sequence's inverting gate with the group tables (no matrix algebra), and
-`circuit_survivals` gives the exact Born survival probabilities of a batch of
-circuits, so the only randomness is the choice of sequences (no shot noise).
-Both step a batch of any lengths at once, and `run_rb` steps its lengths in
-such batches. Every sequence length draws from its own RNG stream derived
-from (seed, length index), and `repeat_datasets` derives each repeat's seed
-from (seed, repeat index), so results do not depend on evaluation order or
-batching.
+One sequence engine serves every caller: `sequence_survivals` completes each
+random Clifford sequence with its inverting gate, found with the group tables
+(no matrix algebra), and gives the exact Born survival probability of that
+circuit, so the only randomness is the choice of sequences (no shot noise).
+It takes a list of blocks of any lengths and steps them all at once, and
+`run_rb` steps its lengths in such batches. Every sequence length draws from
+its own RNG stream derived from (seed, length index), and `repeat_datasets`
+derives each repeat's seed from (seed, repeat index), so results do not
+depend on evaluation order or batching.
 
 `run_rb` spreads its batches over worker processes, one per CPU this process
 may run on (`os.sched_getaffinity`, so `taskset` and cpusets count), with no
@@ -46,8 +46,7 @@ __all__ = [
     "FitResult",
     "RBEstimate",
     "FitError",
-    "sequence_inversions",
-    "circuit_survivals",
+    "sequence_survivals",
     "run_rb",
     "repeat_datasets",
     "fit_decay",
@@ -161,14 +160,15 @@ _ROW_BYTES = 160
 _BATCH_BYTES = 2**21
 
 
-def _step_major(blocks, spare: int = 0):
-    """Lay (k_i, L_i) index blocks out step-major, longest first (ties in
-    block order), with `spare` free steps after each row's last index.
-    Returns (gates, ends, rows): gates[t, r] is row r's index at step t for
-    t < ends[r], ends is non-increasing, and rows[i] is block i's slice."""
+def _step_major(blocks):
+    """Lay (k_i, m_i) index blocks out step-major, longest first (ties in
+    block order), with one free step after each row's last index for its
+    inversion. Returns (gates, ends, rows): gates[t, r] is row r's index at
+    step t for t < ends[r], ends is non-increasing, and rows[i] is block i's
+    slice."""
     order = sorted(range(len(blocks)), key=lambda i: -blocks[i].shape[1])
     ends = np.repeat([blocks[i].shape[1] for i in order], [len(blocks[i]) for i in order])
-    gates = np.empty((ends.max(initial=0) + spare, len(ends)), dtype=_GATE_INDEX)
+    gates = np.empty((ends.max(initial=0) + 1, len(ends)), dtype=_GATE_INDEX)
     rows = [slice(0, 0)] * len(blocks)
     start = 0
     for i in order:
@@ -209,25 +209,15 @@ def _step_survivals(ptms: np.ndarray, gates: np.ndarray, ends: np.ndarray, rows,
     return [states[r] @ spam.effect.coeffs for r in rows]
 
 
-def sequence_inversions(group, sequences):
-    """Index of the inverting Clifford of every row of an (n, m) batch of
-    Clifford indices (applied left to right, m >= 1), from the Cayley and
-    inverse tables alone. Given a list of such blocks of any lengths, returns
-    one array per block."""
-    bare = isinstance(sequences, np.ndarray)  # a batch of one block
-    gates, ends, rows = _step_major([sequences] if bare else sequences, spare=1)
-    _fold_inversions(group, gates, ends)
-    inversions = gates[ends, np.arange(len(ends))].astype(np.intp)
-    return inversions if bare else [inversions[r] for r in rows]
-
-
-def circuit_survivals(ptms: np.ndarray, circuits, spam: Spam):
-    """Exact survival probabilities of an (n, L) batch of circuits, each row
-    listing indices into the (|C|, 4, 4) PTM stack in the order applied.
-    Given a list of such blocks of any lengths, returns one array per block."""
-    bare = isinstance(circuits, np.ndarray)  # a batch of one block
-    per_block = _step_survivals(ptms, *_step_major([circuits] if bare else circuits), spam)
-    return per_block[0] if bare else per_block
+def sequence_survivals(gateset: GateSet, blocks, spam: Spam) -> list[np.ndarray]:
+    """Exact survival probabilities of RB sequences, each completed by its
+    inverting Clifford: `blocks` is a list of (k_i, m_i) arrays of Clifford
+    indices (applied left to right, every m_i >= 1) of any lengths. Returns
+    one array of k_i survivals per block."""
+    gates, ends, rows = _step_major(blocks)
+    del blocks  # the layout holds them now; a caller's temporary list is freed here
+    _fold_inversions(gateset.ideal, gates, ends)
+    return _step_survivals(gateset.imperfect_stack(), gates, ends + 1, rows, spam)
 
 
 def _draw_sequences(group, rng: np.random.Generator, k: int, m: int) -> np.ndarray:
@@ -250,19 +240,16 @@ def _batches(lengths, k: int):
         yield batch
 
 
-def _simulate_batch(group, ptms: np.ndarray, config: RBConfig, batch: list[int]) -> list[np.ndarray]:
+def _simulate_batch(gateset: GateSet, config: RBConfig, batch: list[int]) -> list[np.ndarray]:
     """Survival probabilities of the lengths config.lengths[i], i in `batch`:
     k_per_length sequences each, drawn from the stream of (seed, i), one
     array per length."""
-    blocks = [
-        _draw_sequences(group, np.random.default_rng(np.random.SeedSequence([config.seed, i])),
+    # a temporary list, so that the layout is the only holder of the draws while the batch steps
+    return sequence_survivals(gateset, [
+        _draw_sequences(gateset.ideal, np.random.default_rng(np.random.SeedSequence([config.seed, i])),
                         config.k_per_length, config.lengths[i])
         for i in batch
-    ]
-    gates, ends, rows = _step_major(blocks, spare=1)
-    del blocks  # the layout holds them now
-    _fold_inversions(group, gates, ends)
-    return _step_survivals(ptms, gates, ends + 1, rows, config.spam)
+    ], config.spam)
 
 
 def _workers(batches: int) -> int:
@@ -283,7 +270,7 @@ def run_rb(gateset: GateSet, config: RBConfig) -> RBDataset:
     """Simulate the RB protocol: K(m) random self-inverting sequences per
     length, exact survival probabilities, and their per-length means."""
     batches = list(_batches(config.lengths, config.k_per_length))
-    simulate = partial(_simulate_batch, gateset.ideal, gateset.imperfect_stack(), config)
+    simulate = partial(_simulate_batch, gateset, config)
     workers = _workers(len(batches))
     if workers < 2:
         per_batch = map(simulate, batches)

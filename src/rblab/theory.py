@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .clifford import GateSet, average_error_map, error_maps
-from .protocol import Spam, circuit_survivals, sequence_inversions
+from .protocol import Spam, sequence_survivals
 from .superop import diamond_bracket, vec, unvec
 
 __all__ = [
@@ -135,18 +135,21 @@ def exact_decay(
         decay = SpectralDecay(eigenvalues=eigvals, weights=weights)
         return decay, decay.predict(lengths)
 
-    decay = SpectralDecay(eigenvalues=eigvals, weights=None)
-    values = np.empty(len(lengths), dtype=float)
-    order = np.argsort(lengths)
-    vec_state = rho.copy()
+    values = [size * float(eff @ v) for v in _powers_applied(r_matrix, rho, lengths + 1)]
+    return SpectralDecay(eigenvalues=eigvals, weights=None), np.array(values)
+
+
+def _powers_applied(matrix: np.ndarray, vector: np.ndarray, exponents: np.ndarray) -> list[np.ndarray]:
+    """matrix**e @ vector for each e of `exponents`, in their order, by
+    repeated multiplication up to each in increasing order."""
+    out: list = [None] * len(exponents)
     power = 0
-    for pos in order:
-        target = int(lengths[pos]) + 1
-        while power < target:
-            vec_state = r_matrix @ vec_state
+    for pos in np.argsort(exponents):
+        while power < exponents[pos]:
+            vector = matrix @ vector
             power += 1
-        values[pos] = size * float(eff @ vec_state)
-    return decay, values
+        out[pos] = vector
+    return out
 
 
 def build_l_map(gateset: GateSet) -> np.ndarray:
@@ -204,17 +207,8 @@ def predicted_decay(
     lbar = average_error_map(gateset).ptm
     eff, rho = spam.effect.coeffs, spam.state.coeffs
 
-    values = np.empty(len(lengths), dtype=float)
-    order = np.argsort(lengths)
-    current = vec(np.eye(4))
-    power = 0
-    for pos in order:
-        target = int(lengths[pos])
-        while power < target:
-            current = l_matrix @ current
-            power += 1
-        values[pos] = float(eff @ (lbar @ unvec(current) @ rho))
-    return values
+    values = [float(eff @ (lbar @ unvec(v) @ rho)) for v in _powers_applied(l_matrix, vec(np.eye(4)), lengths)]
+    return np.array(values, dtype=float)
 
 
 def delta_diamond(gateset: GateSet, seed: int = 0) -> DeltaBound:
@@ -236,7 +230,5 @@ def brute_force_pm(gateset: GateSet, spam: Spam | None = None, m: int = 1) -> fl
     spam = spam if spam is not None else Spam.ideal()
     if m > 3:
         raise ValueError("brute force enumeration is capped at m = 3")
-    group = gateset.ideal
-    sequences = np.array(list(product(range(len(group)), repeat=m)), dtype=np.intp)
-    circuits = np.column_stack([sequences, sequence_inversions(group, sequences)])
-    return float(np.mean(circuit_survivals(gateset.imperfect_stack(), circuits, spam)))
+    sequences = np.array(list(product(range(len(gateset.ideal)), repeat=m)), dtype=np.intp)
+    return float(np.mean(sequence_survivals(gateset, [sequences], spam)[0]))

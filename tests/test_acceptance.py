@@ -245,7 +245,7 @@ def test_criterion_8_exponentiality(
 
 def test_criterion_9_counterexample(depolarizing_gateset, group):
     lam = 0.99
-    rows = counterexample_epsilon_min(lam, np.linspace(0.9, 1.1, 81), depolarizing_gateset)
+    rows = counterexample_epsilon_min(lam, np.linspace(0.9, 1.1, 81))
     winners = [
         r for r in rows if r.all_cp and r.min_choi_eigenvalue >= -1e-10
         and r.epsilon < r.r_reference and abs(r.alpha - 1.0) > 1e-9

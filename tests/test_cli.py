@@ -139,9 +139,14 @@ def test_negative_seed_override_is_rejected(tmp_path, capsys):
 
 
 def test_run_rejects_what_validate_rejects(tmp_path):
-    with pytest.raises(ValueError, match="error_model: required object"):
-        run({"command": "simulate"}, tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+    # theory on the perfect gateset parses but is outside the small-error regime
+    for name, config, message in [
+        ("no-error-model", {"command": "simulate"}, "error_model: required object"),
+        ("theory-perfect", dict(THEORY_CONFIG, error_model={"name": "perfect"}), "error_model: "),
+    ]:
+        with pytest.raises(ValueError, match="^invalid config: " + message):
+            run(config, tmp_path / name)
+        assert not (tmp_path / name).exists()
 
 
 def test_run_defaults_the_seed_to_zero(tmp_path):
@@ -263,7 +268,7 @@ def test_main_builds_each_checked_l_map_once(tmp_path, monkeypatch, config, gate
     path = _write_config(tmp_path, config)
     assert main(["--config", str(path), "--out", str(tmp_path / "main")]) == 0
     assert len(l_maps) == gatesets
-    # run, which does not check, builds them once too
+    # run makes the same check on the same L maps
     run(config, tmp_path / "run")
     assert len(l_maps) == 2 * gatesets
 

@@ -10,12 +10,12 @@ from rblab import (
     agsi_of,
     build_l_map,
     choi_eigenvalues,
-    circuit_survivals,
     counterexample_epsilon_min,
     depolarizing_channel,
     epsilon_min_search,
     gamma_and_r_gamma,
     m_alpha,
+    sequence_survivals,
     wallman_gauge,
 )
 from rblab.clifford import error_maps
@@ -41,17 +41,15 @@ def test_identity_gauge_is_a_no_op(coherent_gateset):
 def test_gauge_preserves_circuit_probabilities(coherent_gateset):
     rng = np.random.default_rng(31)
     spam = Spam.ideal()
-    ptms = coherent_gateset.imperfect_stack()
     worst = 0.0
     for trial in range(10):
         transform = GaugeTransform.random_tp(seed=trial, scale=0.4)
-        transformed_ptms = transform.transform_gateset(coherent_gateset).imperfect_stack()
+        transformed = transform.transform_gateset(coherent_gateset)
         spam_t = transform.transform_spam(spam)
-        for _ in range(100):
-            circuit = rng.integers(0, 24, size=(1, rng.integers(1, 6)))
-            p = circuit_survivals(ptms, circuit, spam)[0]
-            q = circuit_survivals(transformed_ptms, circuit, spam_t)[0]
-            worst = max(worst, abs(p - q))
+        blocks = [rng.integers(0, 24, size=(20, m)) for m in range(1, 6)]
+        for p, q in zip(sequence_survivals(coherent_gateset, blocks, spam),
+                        sequence_survivals(transformed, blocks, spam_t)):
+            worst = max(worst, np.max(np.abs(p - q)))
     assert worst < 1e-10
 
 
@@ -116,9 +114,9 @@ def test_m_alpha_error_map_pattern(depolarizing_gateset, group):
             assert abs(diag[y_axis_image] - lam / alpha) < 1e-12
 
 
-def test_counterexample_sweep(depolarizing_gateset):
+def test_counterexample_sweep():
     lam = 0.99
-    rows = counterexample_epsilon_min(lam, np.linspace(0.9, 1.1, 81), depolarizing_gateset)
+    rows = counterexample_epsilon_min(lam, np.linspace(0.9, 1.1, 81))
     by_alpha = {round(r.alpha, 10): r for r in rows}
     at_one = by_alpha[1.0]
     assert abs(at_one.epsilon - at_one.r_reference) < 1e-12

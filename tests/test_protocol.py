@@ -12,12 +12,11 @@ from rblab import (
     RBDataset,
     Spam,
     State,
-    circuit_survivals,
     estimate_r,
     fit_decay,
     repeat_datasets,
     run_rb,
-    sequence_inversions,
+    sequence_survivals,
 )
 from rblab.cli import main
 from rblab.protocol import _BATCH_BYTES, _ROW_BYTES, _batches, _draw_sequences, _workers
@@ -50,10 +49,14 @@ def _simulate(tmp_path):
     return tmp_path / "out"
 
 
-def _sampled_circuit(group, m, rng):
-    """One (1, m+1) circuit: m uniform Clifford indices and their inversion."""
-    indices = rng.integers(0, len(group), size=(1, m))
-    return np.column_stack([indices, sequence_inversions(group, indices)])
+def _sampled_sequence(m, rng):
+    """One (1, m) block of m uniform Clifford indices."""
+    return rng.integers(0, 24, size=(1, m))
+
+
+def _survival(gateset, sequence, spam=None):
+    """Survival of one (1, m) block completed by its inversion."""
+    return sequence_survivals(gateset, [sequence], spam or Spam.ideal())[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -61,18 +64,24 @@ def _sampled_circuit(group, m, rng):
 # --------------------------------------------------------------------------
 
 
-def test_sampled_sequences_invert_to_identity(group):
+# a pure state along a generic Bloch direction: of the 24 Cliffords only the
+# identity maps it to itself, so on the perfect gateset a row survives with
+# probability 1 only if its appended inversion undoes the sequence exactly
+GENERIC = Spam(State(TILTED), Effect(TILTED))
+
+
+def test_sampled_sequences_invert_to_identity(perfect_gateset, group):
+    rotated = [e.ptm @ TILTED for e in group.elements]
+    assert sum(np.allclose(v, TILTED) for v in rotated) == 1
     rng = np.random.default_rng(4)
-    for m in (1, 2, 5, 20):
-        circuit = _sampled_circuit(group, m, rng)
-        # exact integer PTMs: the applied-order product is checked without the tables
-        ptms = [group.elements[i].ptm for i in circuit[0]]
-        assert np.array_equal(np.linalg.multi_dot(ptms[::-1]), np.eye(4))
+    blocks = [rng.integers(0, 24, size=(30, m)) for m in (1, 2, 5, 20, 2, 101)]
+    for probs in sequence_survivals(perfect_gateset, blocks, GENERIC):
+        assert np.max(np.abs(probs - 1.0)) < 1e-12
 
 
-def test_identity_sequence_inverts_to_identity(group):
+def test_identity_sequence_inverts_to_identity(perfect_gateset, group):
     indices = np.full((1, 1), group.identity_index, dtype=np.intp)
-    assert sequence_inversions(group, indices)[0] == group.identity_index
+    assert abs(_survival(perfect_gateset, indices, GENERIC) - 1.0) < 1e-12
 
 
 def test_first_index_uniform_chi_square(group):
@@ -93,27 +102,24 @@ def test_first_index_uniform_chi_square(group):
 # --------------------------------------------------------------------------
 
 
-def test_perfect_survival_is_one(perfect_gateset, group):
+def test_perfect_survival_is_one(perfect_gateset):
     rng = np.random.default_rng(11)
-    ptms = perfect_gateset.imperfect_stack()
     for m in (1, 3, 7):
-        circuit = _sampled_circuit(group, m, rng)
-        assert abs(circuit_survivals(ptms, circuit, Spam.ideal())[0] - 1.0) < 1e-12
+        assert abs(_survival(perfect_gateset, _sampled_sequence(m, rng)) - 1.0) < 1e-12
 
 
-def test_gate_independent_two_gate_survival(depolarizing_gateset, group):
+def test_gate_independent_two_gate_survival(depolarizing_gateset):
     lam = 0.99
     rng = np.random.default_rng(12)
-    ptms = depolarizing_gateset.imperfect_stack()
     for _ in range(5):
-        circuit = _sampled_circuit(group, 1, rng)
         expected = (1.0 + lam**2) / 2.0
-        assert abs(circuit_survivals(ptms, circuit, Spam.ideal())[0] - expected) < 1e-14
+        assert abs(_survival(depolarizing_gateset, _sampled_sequence(1, rng)) - expected) < 1e-14
 
 
-def _dense_oracle_survival(theta: float, table, sequence) -> float:
+def _dense_oracle_survival(theta: float, group, table, sequence) -> float:
     """Independent survival computation with 2x2 unitaries and density
-    matrices, bypassing the PTM machinery entirely."""
+    matrices, bypassing the PTM machinery entirely; the sequence is completed
+    by the inverse of its product, multiplied out of the exact integer PTMs."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -123,8 +129,10 @@ def _dense_oracle_survival(theta: float, table, sequence) -> float:
 
     err = unitary(sz, theta)
     prim = {"Gx": err @ unitary(sx, np.pi / 2), "Gy": err @ unitary(sy, np.pi / 2)}
+    product_ptm = np.linalg.multi_dot([np.eye(4)] + [group.elements[i].ptm for i in sequence[::-1]])
+    inversion = next(i for i, e in enumerate(group.elements) if np.array_equal(e.ptm @ product_ptm, np.eye(4)))
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
-    for index in sequence:
+    for index in [*sequence, inversion]:
         for name in table[index]:
             u = prim[name]
             rho = u @ rho @ u.conj().T
@@ -133,11 +141,10 @@ def _dense_oracle_survival(theta: float, table, sequence) -> float:
 
 def test_survival_matches_dense_matrix_oracle(coherent_gateset, group, table):
     rng = np.random.default_rng(77)
-    ptms = coherent_gateset.imperfect_stack()
     for m in (1, 2, 6):
-        circuit = _sampled_circuit(group, m, rng)
-        expected = _dense_oracle_survival(0.1, table, circuit[0])
-        assert abs(circuit_survivals(ptms, circuit, Spam.ideal())[0] - expected) < 1e-14
+        sequence = _sampled_sequence(m, rng)
+        expected = _dense_oracle_survival(0.1, group, table, sequence[0])
+        assert abs(_survival(coherent_gateset, sequence) - expected) < 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -170,14 +177,14 @@ def test_run_rb_deterministic_given_seed(coherent_gateset):
     assert not np.array_equal(a.survivals[0], c.survivals[0])
 
 
-def test_run_rb_sampling_band_against_enumeration(coherent_gateset, group):
+def test_run_rb_sampling_band_against_enumeration(coherent_gateset):
     # population mean/std over all 24 (m=1) and 576 (m=2) sequences
     config = RBConfig(lengths=(1, 2), k_per_length=500, seed=21)
     dataset = run_rb(coherent_gateset, config)
-    for m, sampled_mean in zip(dataset.lengths, dataset.means):
-        seqs = np.array(list(product(range(24), repeat=m)), dtype=np.intp)
-        circuits = np.column_stack([seqs, sequence_inversions(group, seqs)])
-        population = circuit_survivals(coherent_gateset.imperfect_stack(), circuits, Spam.ideal())
+    populations = sequence_survivals(
+        coherent_gateset, [np.array(list(product(range(24), repeat=m))) for m in dataset.lengths], Spam.ideal()
+    )
+    for sampled_mean, population in zip(dataset.means, populations):
         band = 4.0 * population.std(ddof=0) / np.sqrt(config.k_per_length)
         assert abs(sampled_mean - population.mean()) <= band + 1e-15
 
@@ -278,20 +285,16 @@ def test_run_rb_in_a_daemonic_process(coherent_gateset):
     assert np.array_equal(dataset.means, run_rb(coherent_gateset, config).means)
 
 
-def test_blocks_match_one_by_one_bitwise(general_gateset, group):
+def test_blocks_match_one_by_one_bitwise(general_gateset, reference_survivals):
     rng = np.random.default_rng(19)
-    ptms = general_gateset.imperfect_stack()
     shapes = [(7, 3), (1, 40), (12, 3), (5, 1), (9, 17)]
     sequences = [rng.integers(0, 24, size=shape) for shape in shapes]
-    inversions = sequence_inversions(group, sequences)
-    assert len(inversions) == len(shapes)
-    for block, inverted in zip(sequences, inversions):
-        assert np.array_equal(inverted, sequence_inversions(group, block))
-    circuits = [np.column_stack([block, inverted]) for block, inverted in zip(sequences, inversions)]
-    survivals = circuit_survivals(ptms, circuits, Spam.ideal())
+    survivals = sequence_survivals(general_gateset, sequences, GENERIC)
     assert len(survivals) == len(shapes)
-    for block, probs in zip(circuits, survivals):
-        assert np.array_equal(probs, circuit_survivals(ptms, block, Spam.ideal()))
+    for block, probs in zip(sequences, survivals):
+        assert probs.shape == (len(block),)
+        assert np.array_equal(probs, sequence_survivals(general_gateset, [block], GENERIC)[0])
+        assert np.array_equal(probs, reference_survivals(general_gateset, block, GENERIC))
 
 
 def test_dataset_validation_and_csv(tmp_path):

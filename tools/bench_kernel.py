@@ -12,7 +12,8 @@ seeds by running the batch helper, `_simulate_batch`, in this process over
 the same batches (in a worker, a timer set here would read nothing): the
 inversion fold (folded sequence indices, k * m per length, per second) and
 the survival step (gate applications per second) are the module functions
-the helper calls for them; the rest is sampling and layout. Only numpy and
+that `sequence_survivals`, which the helper calls, runs for them; the rest
+is sampling and layout. Only numpy and
 the standard library are used. With --out, the result is stored under
 --label in that JSON file, next to the labels already there.
 """
@@ -38,7 +39,7 @@ SHAPES = {
     "simulate": {"lengths": tuple(range(1, 2002, 50)), "k_per_length": 500},
     "sweep": {"lengths": tuple(range(1, 202, 10)), "k_per_length": 20},
 }
-# the protocol function that the batch helper calls for each stage
+# the protocol function that the batch helper reaches, through `sequence_survivals`, for each stage
 STAGES = {"fold": "_fold_inversions", "step": "_step_survivals"}
 
 
@@ -68,7 +69,7 @@ def bench_shape(gateset, lengths, k_per_length: int, repeats: int) -> dict:
         protocol.run_rb(gateset, replace(config, seed=seed))
         totals.append(perf_counter() - start)
 
-    simulate = partial(protocol._simulate_batch, gateset.ideal, gateset.imperfect_stack())
+    simulate = partial(protocol._simulate_batch, gateset)
     stage_seconds = {stage: 0.0 for stage in STAGES}
     originals = {stage: _timed(stage_seconds, stage) for stage in STAGES}
     in_process, stages = [], {stage: [] for stage in STAGES}
