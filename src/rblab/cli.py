@@ -250,8 +250,8 @@ def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
     transformed = transform.transform_gateset(gateset)
     eps_before = gauge.agsi_of(gateset)
     eps_after, min_eig = gauge.infidelity_and_min_choi(transformed.imperfect, gateset.ideal.elements)
-    (l_map,) = values["l_maps"]
-    wallman = gauge.wallman_gauge(gateset, seed=values["seed"], l_map=l_map)
+    (l_map,), (gamma_result,) = values["l_maps"], values["gammas"]
+    wallman = gauge.wallman_gauge(gateset, seed=values["seed"], l_map=l_map, gamma_result=gamma_result)
     _write_json(
         out_dir / "gauge_report.json",
         {

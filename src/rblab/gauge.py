@@ -12,12 +12,13 @@ exactly depolarizing (making the infidelity equal r_gamma).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import optimize
 
 from .clifford import GateIndependent, GateSet, build_gateset
-from .protocol import Spam
+from .protocol import Spam, _fork_map
 from .superop import (
     PTM_TO_CHOI,
     Effect,
@@ -181,6 +182,54 @@ class EpsilonMinResult:
     min_choi_eigenvalue: float
 
 
+def _evaluate(params: np.ndarray, tilde: np.ndarray, ideal_inv: np.ndarray):
+    """(epsilon, min Choi eigenvalue) for the TP-form gauge at params (12
+    entries around the identity) applied to the PTM stack `tilde`, scored
+    against the inverse ideal PTMs `ideal_inv`; None when that gauge cannot
+    be inverted safely."""
+    m = np.eye(4)
+    m[1:, :] += params.reshape(3, 4)
+    try:
+        m_inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(m_inv)) or np.max(np.abs(m_inv)) > 1e8:
+        return None
+    gates = m @ tilde @ m_inv
+    traces = np.einsum("nij,nji->n", gates, ideal_inv)
+    eps = float(np.mean((4.0 - traces) / 6.0))
+    chois = (gates.reshape(24, 16) @ PTM_TO_CHOI.T).reshape(24, 4, 4)
+    eigs = np.linalg.eigvalsh(0.5 * (chois + chois.conj().transpose(0, 2, 1)))
+    return eps, float(eigs[:, 0].min())
+
+
+def _objective(params: np.ndarray, tilde: np.ndarray, ideal_inv: np.ndarray) -> float:
+    evaluated = _evaluate(params, tilde, ideal_inv)
+    if evaluated is None:
+        return 1e6
+    eps, min_eig = evaluated
+    violation = min(min_eig, 0.0)
+    return eps + _CP_PENALTY * violation * violation
+
+
+def _restart(tilde: np.ndarray, ideal_inv: np.ndarray, seed: int, index: int):
+    """One Nelder-Mead run of the search, from the identity for index 0 and
+    from a random start drawn from the stream of (seed, index) otherwise:
+    its end point and `_evaluate` there. It calls no other rblab function
+    (the Choi spectrum is computed inline), so running it in a worker
+    process hides no call from a tracer in the parent."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    start = np.zeros(12) if index == 0 else 0.02 * rng.standard_normal(12)
+    res = optimize.minimize(
+        _objective,
+        start,
+        args=(tilde, ideal_inv),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 6000},
+    )
+    return res.x.copy(), _evaluate(res.x, tilde, ideal_inv)
+
+
 def epsilon_min_search(
     gateset: GateSet,
     restarts: int = 8,
@@ -193,53 +242,21 @@ def epsilon_min_search(
     free entries around the identity).
     The result is an upper bound on the true minimum: the incumbent starts
     at the input representation and only improves, and more restarts can
-    only lower it.
+    only lower it. The restarts are independent and run on
+    `protocol._fork_map`'s worker processes; the incumbent then walks them
+    in index order, so the result does not depend on the worker count.
     """
     tilde = gateset.imperfect_stack()
     ideal_inv = np.stack([np.linalg.inv(e.ptm) for e in gateset.ideal.elements])
 
-    def evaluate(params: np.ndarray):
-        """(epsilon, min Choi eigenvalue) for the gauge at params, or None."""
-        m = np.eye(4)
-        m[1:, :] += params.reshape(3, 4)
-        try:
-            m_inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(m_inv)) or np.max(np.abs(m_inv)) > 1e8:
-            return None
-        gates = m @ tilde @ m_inv
-        traces = np.einsum("nij,nji->n", gates, ideal_inv)
-        eps = float(np.mean((4.0 - traces) / 6.0))
-        chois = (gates.reshape(24, 16) @ PTM_TO_CHOI.T).reshape(24, 4, 4)
-        eigs = np.linalg.eigvalsh(0.5 * (chois + chois.conj().transpose(0, 2, 1)))
-        return eps, float(eigs[:, 0].min())
-
-    def objective(params: np.ndarray) -> float:
-        evaluated = evaluate(params)
-        if evaluated is None:
-            return 1e6
-        eps, min_eig = evaluated
-        violation = min(min_eig, 0.0)
-        return eps + _CP_PENALTY * violation * violation
-
     best_params = np.zeros(12)
-    best_eps, best_min_eig = evaluate(best_params)
-    for index in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        start = np.zeros(12) if index == 0 else 0.02 * rng.standard_normal(12)
-        res = optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 6000},
-        )
-        evaluated = evaluate(res.x)
+    best_eps, best_min_eig = _evaluate(best_params, tilde, ideal_inv)
+    for params, evaluated in _fork_map(partial(_restart, tilde, ideal_inv, seed), range(restarts)):
         if evaluated is None:
             continue
         eps, min_eig = evaluated
         if min_eig >= -1e-8 and eps < best_eps:
-            best_params, best_eps, best_min_eig = res.x.copy(), eps, min_eig
+            best_params, best_eps, best_min_eig = params, eps, min_eig
 
     m_best = np.eye(4)
     m_best[1:, :] += best_params.reshape(3, 4)
@@ -267,7 +284,12 @@ class WallmanGauge:
     residual: float
 
 
-def wallman_gauge(gateset: GateSet, seed: int = 0, l_map: np.ndarray | None = None) -> WallmanGauge:
+def wallman_gauge(
+    gateset: GateSet,
+    seed: int = 0,
+    l_map: np.ndarray | None = None,
+    gamma_result: GammaResult | None = None,
+) -> WallmanGauge:
     """Construct the channel L with avg_i[C~_i L C_i^{-1}] = L D_gamma and
     evaluate the gateset infidelity in the gauge it generates.
 
@@ -279,11 +301,12 @@ def wallman_gauge(gateset: GateSet, seed: int = 0, l_map: np.ndarray | None = No
     exactly depolarizing with parameter gamma, so the infidelity equals
     r_gamma; the transformed gates are generally not completely positive,
     and the most negative Choi eigenvalue is reported. `l_map` is the
-    gateset's `build_l_map`, built here when not given.
+    gateset's `build_l_map` and `gamma_result` its `gamma_and_r_gamma`, each
+    computed here when not given.
     """
     l_map = build_l_map(gateset) if l_map is None else l_map
     l_primed = l_map.reshape(4, 4, 4, 4).transpose(3, 2, 1, 0).reshape(16, 16)
-    gamma_result: GammaResult = gamma_and_r_gamma(l_map)
+    gamma_result = gamma_and_r_gamma(l_map) if gamma_result is None else gamma_result
     gamma = gamma_result.gamma
 
     system = l_primed - np.kron(depolarizing_channel(gamma).ptm, np.eye(4))

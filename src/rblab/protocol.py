@@ -10,17 +10,20 @@ its own RNG stream derived from (seed, length index), and `repeat_datasets`
 derives each repeat's seed from (seed, repeat index), so results do not
 depend on evaluation order or batching.
 
-`run_rb` spreads its batches over worker processes, one per CPU this process
-may run on (`os.sched_getaffinity`, so `taskset` and cpusets count), with no
-setting: each batch does the same arithmetic wherever it runs, so the
-outputs do not depend on the number of workers. It steps them in-process
-when there is one batch, one usable CPU, no "fork" start method, or when it
-runs in a daemonic process, which may start no children. The pool
-is made and joined inside each call. Workers are forked, not spawned: a
-spawned worker would import numpy and scipy again on every call. A process
-that has threads may deadlock a forked child if a lock is held at the fork;
-numpy's OpenBLAS keeps a thread pool, and Python 3.12 and later warn about
-every such fork (a DeprecationWarning that rblab leaves visible).
+One process pool serves every caller: `_fork_map(func, items)` maps a
+module-level function over independent items on worker processes, one per
+CPU this process may run on (`os.sched_getaffinity`, so `taskset` and
+cpusets count), with no setting, and returns the results in input order.
+`run_rb` maps its batches over it and `gauge.epsilon_min_search` its
+restarts; each item does the same arithmetic wherever it runs, so the
+outputs do not depend on the number of workers. It runs the items
+in-process when there are fewer than two, one usable CPU, no "fork" start
+method, or when it runs in a daemonic process, which may start no children.
+The pool is made and joined inside each call. Workers are forked, not
+spawned: a spawned worker would import numpy and scipy again on every call.
+A process that has threads may deadlock a forked child if a lock is held at
+the fork; numpy's OpenBLAS keeps a thread pool, and Python 3.12 and later
+warn about every such fork (a DeprecationWarning that rblab leaves visible).
 """
 
 from __future__ import annotations
@@ -252,31 +255,36 @@ def _simulate_batch(gateset: GateSet, config: RBConfig, batch: list[int]) -> lis
     ], config.spam)
 
 
-def _workers(batches: int) -> int:
-    """Worker processes for `batches` batches: one per CPU this process may
-    run on, at most one per batch; 1 (step in-process) in a daemonic process
-    (a `multiprocessing.Pool` worker may start no children) or where the
-    platform cannot fork or tell which CPUs are usable."""
+def _fork_workers(items: int) -> int:
+    """Worker processes `_fork_map` uses for `items` items: one per CPU this
+    process may run on, at most one per item; 1 (run in-process) in a
+    daemonic process (a `multiprocessing.Pool` worker may start no children)
+    or where the platform cannot fork or tell which CPUs are usable."""
     if (
         multiprocessing.current_process().daemon
         or not hasattr(os, "sched_getaffinity")
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
         return 1
-    return min(batches, len(os.sched_getaffinity(0)))
+    return min(items, len(os.sched_getaffinity(0)))
+
+
+def _fork_map(func, items) -> list:
+    """[func(item) for item in items], on `_fork_workers(len(items))` forked
+    worker processes when that is 2 or more; `func` and each item must pickle."""
+    items = list(items)
+    workers = _fork_workers(len(items))
+    if workers < 2:
+        return list(map(func, items))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(func, items))
 
 
 def run_rb(gateset: GateSet, config: RBConfig) -> RBDataset:
     """Simulate the RB protocol: K(m) random self-inverting sequences per
     length, exact survival probabilities, and their per-length means."""
     batches = list(_batches(config.lengths, config.k_per_length))
-    simulate = partial(_simulate_batch, gateset, config)
-    workers = _workers(len(batches))
-    if workers < 2:
-        per_batch = map(simulate, batches)
-    else:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            per_batch = list(pool.map(simulate, batches))
+    per_batch = _fork_map(partial(_simulate_batch, gateset, config), batches)
     survivals = [None] * len(config.lengths)
     for batch, probs in zip(batches, per_batch):
         for i, p in zip(batch, probs):

@@ -1,3 +1,6 @@
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,23 @@ def _reference_survivals(gateset, sequences, spam=None):
 @pytest.fixture(scope="session")
 def reference_survivals():
     return _reference_survivals
+
+
+@contextmanager
+def _one_cpu():
+    """Pin this process to its lowest usable CPU, so that
+    `rblab.protocol._fork_map` runs in-process, and restore the set after."""
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(usable)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, usable)
+
+
+@pytest.fixture(scope="session")
+def one_cpu():
+    return _one_cpu
 
 
 def _agi_haar_oracle(g_tilde, g, n_samples=100_000, seed=0, with_stderr=False):

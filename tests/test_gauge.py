@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from rblab import (
     wallman_gauge,
 )
 from rblab.clifford import error_maps
+from rblab.protocol import _fork_workers
 from rblab.superop import rotation_channel
 
 
@@ -183,6 +186,44 @@ def test_epsilon_min_search_monotone_in_restarts(depolarizing_gateset):
     few = epsilon_min_search(depolarizing_gateset, restarts=2, seed=5)
     more = epsilon_min_search(depolarizing_gateset, restarts=5, seed=5)
     assert more.epsilon_min_estimate <= few.epsilon_min_estimate + 1e-15
+
+
+def _same_search(a, b) -> bool:
+    return (
+        np.array_equal(a.transform.m, b.transform.m)
+        and a.epsilon_min_estimate == b.epsilon_min_estimate
+        and a.min_choi_eigenvalue == b.min_choi_eigenvalue
+        and a.all_cp == b.all_cp
+    )
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 5])
+def test_epsilon_min_search_does_not_depend_on_the_worker_count(depolarizing_gateset, one_cpu, restarts):
+    pooled = epsilon_min_search(depolarizing_gateset, restarts=restarts, seed=7)
+    with one_cpu():
+        assert _fork_workers(restarts) == 1
+        serial = epsilon_min_search(depolarizing_gateset, restarts=restarts, seed=7)
+    assert _same_search(pooled, serial)
+
+
+def test_epsilon_min_search_leaves_no_worker_running(perfect_gateset):
+    epsilon_min_search(perfect_gateset, restarts=2, seed=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_epsilon_min_search_in_a_daemonic_process(perfect_gateset):
+    # a multiprocessing.Pool worker is daemonic and may start no children
+    with multiprocessing.get_context("fork").Pool(1) as pool:  # terminated on exit
+        result = pool.apply_async(epsilon_min_search, (perfect_gateset, 2, 3)).get(timeout=120)
+    assert _same_search(result, epsilon_min_search(perfect_gateset, restarts=2, seed=3))
+
+
+def test_wallman_gauge_takes_the_parsed_gamma(coherent_gateset):
+    l_map = build_l_map(coherent_gateset)
+    given = wallman_gauge(coherent_gateset, seed=4, l_map=l_map, gamma_result=gamma_and_r_gamma(l_map))
+    built = wallman_gauge(coherent_gateset, seed=4)
+    assert (given.gamma, given.r_gamma, given.epsilon_in_gauge) == (built.gamma, built.r_gamma, built.epsilon_in_gauge)
+    assert np.array_equal(given.l_op.ptm, built.l_op.ptm)
 
 
 def test_wallman_gauge_gate_independent(depolarizing_gateset, reference_primed_l_map):

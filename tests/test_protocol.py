@@ -1,6 +1,5 @@
 import json
 import multiprocessing
-import os
 from itertools import product
 
 import numpy as np
@@ -19,7 +18,7 @@ from rblab import (
     sequence_survivals,
 )
 from rblab.cli import main
-from rblab.protocol import _BATCH_BYTES, _ROW_BYTES, _batches, _draw_sequences, _workers
+from rblab.protocol import _BATCH_BYTES, _ROW_BYTES, _batches, _draw_sequences, _fork_workers
 
 LENGTHS = tuple(range(1, 2002, 50))
 TILTED = np.array([1.0, 0.3, -0.5, np.sqrt(1.0 - 0.34)]) / np.sqrt(2.0)  # a pure state's Pauli vector
@@ -255,17 +254,13 @@ def test_batches_count_rows_against_the_budget():
     assert list(_batches(lengths, k)) == [[3], [2], [1], [0]]
 
 
-def test_run_rb_does_not_depend_on_the_worker_count(coherent_gateset):
+def test_run_rb_does_not_depend_on_the_worker_count(coherent_gateset, one_cpu):
     config = RBConfig(lengths=(1, 2, 51, 2001), k_per_length=500, seed=0)
     assert len(list(_batches(config.lengths, config.k_per_length))) >= 2
     pooled = run_rb(coherent_gateset, config)
-    usable = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(usable)})
-    try:
-        assert _workers(2) == 1
+    with one_cpu():
+        assert _fork_workers(2) == 1
         serial = run_rb(coherent_gateset, config)
-    finally:
-        os.sched_setaffinity(0, usable)
     for m, a, b in zip(config.lengths, pooled.survivals, serial.survivals):
         assert np.array_equal(a, b), f"m = {m}"
 

@@ -97,7 +97,7 @@ def bench_shape(gateset, lengths, k_per_length: int, repeats: int) -> dict:
         "k_per_length": k_per_length,
         "gate_apps": applied,
         "batches": len(batches),
-        "workers": protocol._workers(len(batches)),
+        "workers": protocol._fork_workers(len(batches)),
         "run_rb_s": run_s,
         "run_rb_s_all": totals,
         "gate_apps_per_s": applied / run_s,
