@@ -236,11 +236,12 @@ def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
 
 def _run_sweep(values: dict, resolved: dict, out_dir: Path) -> None:
     config = _rb_config(values, values["sweep.repeats"])
-    rows = []
-    for theta, gateset, gamma_result in zip(values["sweep.grid"], values["sweep.gatesets"], values["gammas"]):
-        estimate = protocol.estimate_r(gateset, config, model=values["rb.fit_model"])
-        epsilon = gauge.agsi_of(gateset)
-        rows.append((theta, estimate.r_mean, estimate.r_std, gamma_result.r_gamma, epsilon))
+    gatesets = values["sweep.gatesets"]
+    estimates = protocol.estimate_rs(gatesets, config, model=values["rb.fit_model"])
+    rows = [
+        (theta, estimate.r_mean, estimate.r_std, gamma_result.r_gamma, gauge.agsi_of(gateset))
+        for theta, gateset, gamma_result, estimate in zip(values["sweep.grid"], gatesets, values["gammas"], estimates)
+    ]
     _write_csv(out_dir / "sweep.csv", ["theta", "r_hat", "r_std", "r_gamma", "epsilon"], rows, resolved)
 
 

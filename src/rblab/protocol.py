@@ -14,11 +14,15 @@ One process pool serves every caller: `_fork_map(func, items)` maps a
 module-level function over independent items on worker processes, one per
 CPU this process may run on (`os.sched_getaffinity`, so `taskset` and
 cpusets count), with no setting, and returns the results in input order.
-`run_rb` maps its batches over it and `gauge.epsilon_min_search` its
-restarts; each item does the same arithmetic wherever it runs, so the
-outputs do not depend on the number of workers. It runs the items
-in-process when there are fewer than two, one usable CPU, no "fork" start
-method, or when it runs in a daemonic process, which may start no children.
+`run_rb` maps its batches over it, `gauge.epsilon_min_search` its restarts
+and `estimate_rs` the fits of every repeat of every gateset; each item does
+the same arithmetic wherever it runs, so the outputs do not depend on the
+number of workers. `estimate_rs` hands the pool a generator of datasets,
+so this process keeps simulating while the workers fit (when each `run_rb`
+is one batch; a `run_rb` of several batches has the pool to itself). It
+runs the items in-process when there are fewer than two, one usable CPU,
+no "fork" start method, or when it runs in a daemonic process, which may
+start no children.
 The pool is made and joined inside each call. Workers are forked, not
 spawned: a spawned worker would import numpy and scipy again on every call.
 A process that has threads may deadlock a forked child if a lock is held at
@@ -54,6 +58,7 @@ __all__ = [
     "repeat_datasets",
     "fit_decay",
     "estimate_r",
+    "estimate_rs",
 ]
 
 DEFAULT_LENGTHS = tuple(range(1, 2002, 50))
@@ -65,7 +70,12 @@ class FitError(RuntimeError):
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(f"{message} (best residual norm {best_residual:.3e})")
+        self.message = message
         self.best_residual = best_residual
+
+    def __reduce__(self):
+        # the default would call FitError(*self.args), the formatted message alone
+        return type(self), (self.message, self.best_residual)
 
 
 @dataclass(frozen=True)
@@ -137,7 +147,8 @@ class FitResult:
 class RBEstimate:
     r_mean: float
     r_std: float
-    fits: tuple[FitResult, ...]
+    fits: tuple[FitResult, ...]  # the repeats that fitted, in repeat order
+    failures: int  # repeats whose fit raised FitError
 
 
 # --------------------------------------------------------------------------
@@ -269,11 +280,14 @@ def _fork_workers(items: int) -> int:
     return min(items, len(os.sched_getaffinity(0)))
 
 
-def _fork_map(func, items) -> list:
-    """[func(item) for item in items], on `_fork_workers(len(items))` forked
-    worker processes when that is 2 or more; `func` and each item must pickle."""
-    items = list(items)
-    workers = _fork_workers(len(items))
+def _fork_map(func, items, count: int | None = None) -> list:
+    """[func(item) for item in items], on `_fork_workers(count)` forked
+    worker processes when that is 2 or more; `func` and each item must
+    pickle. `items` is a sequence (`count` defaults to its length) or an
+    iterable of `count` items: the pool submits each item as it is yielded,
+    so a generator makes its later items while the workers map the earlier
+    ones."""
+    workers = _fork_workers(len(items) if count is None else count)
     if workers < 2:
         return list(map(func, items))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -370,6 +384,15 @@ def _linear_solve_for_p(lengths: np.ndarray, means: np.ndarray, p: float, first_
     return coeffs, design @ coeffs - means
 
 
+def _check_fit(model: str, lengths) -> None:
+    """ValueError unless `model` is a fit model and `lengths` has enough distinct lengths for it."""
+    if model not in FIT_PARAMETERS:
+        raise ValueError("model must be 'zeroth' or 'first'")
+    n_params = FIT_PARAMETERS[model]
+    if len(np.unique(lengths)) < n_params:
+        raise ValueError(f"{model}-order fit needs at least {n_params} distinct lengths")
+
+
 def fit_decay(dataset: RBDataset, model: str = "first") -> FitResult:
     """Unweighted least squares fit of the means to A + (B + C m) p^m.
 
@@ -379,11 +402,7 @@ def fit_decay(dataset: RBDataset, model: str = "first") -> FitResult:
     steps. Non-decaying data and a p estimate pinned at a bound are flagged
     rather than reported silently.
     """
-    if model not in FIT_PARAMETERS:
-        raise ValueError("model must be 'zeroth' or 'first'")
-    n_params = FIT_PARAMETERS[model]
-    if len(np.unique(dataset.lengths)) < n_params:
-        raise ValueError(f"{model}-order fit needs at least {n_params} distinct lengths")
+    _check_fit(model, dataset.lengths)
 
     lengths = np.asarray(dataset.lengths, dtype=float)
     means = np.asarray(dataset.means, dtype=float)
@@ -515,23 +534,54 @@ def _scan_for_q(lengths, means, first_order: bool, candidates: np.ndarray) -> fl
     return best_q
 
 
-def estimate_r(gateset: GateSet, config: RBConfig, model: str = "first") -> RBEstimate:
-    """Repeat the full RB estimation and report the mean and standard
-    deviation of the fitted RB numbers across repeats."""
-    if config.repeats < 2:
-        raise ValueError("estimate_r needs at least 2 repeats")
-    fits = []
-    failures = 0
-    for dataset in repeat_datasets(gateset, config):
-        try:
-            fits.append(fit_decay(dataset, model=model))
-        except FitError:
-            failures += 1
-    if failures > config.repeats // 2:
-        raise FitError(f"{failures} of {config.repeats} repeats failed to fit", float("inf"))
+def _fit_or_error(model: str, dataset: RBDataset) -> FitResult | FitError:
+    """`fit_decay(dataset, model)`, or the FitError it raised: returned, so
+    that one failed fit does not end a map over many."""
+    try:
+        return fit_decay(dataset, model=model)
+    except FitError as error:
+        return error
+
+
+def _estimate(outcomes: list) -> RBEstimate:
+    """Mean and standard deviation of the fitted RB numbers of one gateset's
+    repeats; FitError if more than half of them failed to fit."""
+    fits = tuple(f for f in outcomes if not isinstance(f, FitError))
+    failures = len(outcomes) - len(fits)
+    if failures > len(outcomes) // 2:
+        raise FitError(f"{failures} of {len(outcomes)} repeats failed to fit", float("inf"))
     r_values = np.array([f.r_hat for f in fits])
     return RBEstimate(
         r_mean=float(np.mean(r_values)),
         r_std=float(np.std(r_values, ddof=1)),
-        fits=tuple(fits),
+        fits=fits,
+        failures=failures,
     )
+
+
+def estimate_rs(gatesets, config: RBConfig, model: str = "first") -> list[RBEstimate]:
+    """`estimate_r` of each gateset. Every repeat of every gateset is
+    simulated here, in order, and fitted on one `_fork_map` as soon as its
+    dataset exists. A config of several batches fits here instead: each
+    `run_rb` then keeps the CPUs busy on a pool of its own, and a fit pool
+    beside it would only add forks (from a process whose pool threads are
+    running)."""
+    if config.repeats < 2:
+        raise ValueError("estimate_r needs at least 2 repeats")
+    _check_fit(model, config.lengths)  # here, not after every dataset is made
+    gatesets = list(gatesets)
+    datasets = (dataset for gateset in gatesets for dataset in repeat_datasets(gateset, config))
+    fit = partial(_fit_or_error, model)
+    if len(list(_batches(config.lengths, config.k_per_length))) > 1:
+        outcomes = list(map(fit, datasets))
+    else:
+        outcomes = _fork_map(fit, datasets, len(gatesets) * config.repeats)
+    n = config.repeats
+    return [_estimate(outcomes[i : i + n]) for i in range(0, len(outcomes), n)]
+
+
+def estimate_r(gateset: GateSet, config: RBConfig, model: str = "first") -> RBEstimate:
+    """Repeat the full RB estimation and report the mean and standard
+    deviation of the fitted RB numbers across repeats; repeats whose fit
+    fails are counted, and more than half failing raises FitError."""
+    return estimate_rs([gateset], config, model)[0]

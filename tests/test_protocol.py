@@ -1,5 +1,8 @@
 import json
+import math
 import multiprocessing
+import pickle
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -7,18 +10,21 @@ import pytest
 
 from rblab import (
     Effect,
+    FitError,
     RBConfig,
     RBDataset,
     Spam,
     State,
     estimate_r,
+    estimate_rs,
     fit_decay,
     repeat_datasets,
     run_rb,
     sequence_survivals,
 )
+from rblab import protocol
 from rblab.cli import main
-from rblab.protocol import _BATCH_BYTES, _ROW_BYTES, _batches, _draw_sequences, _fork_workers
+from rblab.protocol import _BATCH_BYTES, _ROW_BYTES, _batches, _draw_sequences, _fork_map, _fork_workers
 
 LENGTHS = tuple(range(1, 2002, 50))
 TILTED = np.array([1.0, 0.3, -0.5, np.sqrt(1.0 - 0.34)]) / np.sqrt(2.0)  # a pure state's Pauli vector
@@ -387,6 +393,125 @@ def test_estimate_r_deterministic(depolarizing_gateset):
     a = estimate_r(depolarizing_gateset, config)
     b = estimate_r(depolarizing_gateset, config)
     assert a.r_mean == b.r_mean and a.r_std == b.r_std
+
+
+SHORT = RBConfig(lengths=(1, 51, 101, 151, 201), k_per_length=10, seed=23, repeats=3)
+
+
+def test_estimate_rs_checks_the_fit_before_simulating(monkeypatch):
+    monkeypatch.setattr(protocol, "run_rb", None)  # any simulation would raise TypeError
+    with pytest.raises(ValueError, match="'zeroth' or 'first'"):
+        estimate_rs([None], SHORT, model="second")
+    with pytest.raises(ValueError, match="at least 4 distinct"):
+        estimate_rs([None], replace(SHORT, lengths=(1, 2, 3)))
+
+
+def test_estimate_rs_equals_estimate_r_of_each_gateset(coherent_gateset, depolarizing_gateset, general_gateset):
+    gatesets = [coherent_gateset, depolarizing_gateset, general_gateset]
+    estimates = estimate_rs(gatesets, SHORT)
+    assert estimates == [estimate_r(g, SHORT) for g in gatesets]
+    for gateset, estimate in zip(gatesets, estimates):
+        fits = tuple(fit_decay(d) for d in repeat_datasets(gateset, SHORT))
+        r_values = np.array([f.r_hat for f in fits])
+        assert estimate.fits == fits and estimate.failures == 0
+        assert estimate.r_mean == float(np.mean(r_values))
+        assert estimate.r_std == float(np.std(r_values, ddof=1))
+
+
+def test_estimate_rs_does_not_depend_on_the_worker_count(coherent_gateset, general_gateset, one_cpu):
+    gatesets = [coherent_gateset, general_gateset]
+    pooled = estimate_rs(gatesets, SHORT, model="zeroth")
+    with one_cpu():
+        assert _fork_workers(len(gatesets) * SHORT.repeats) == 1
+        serial = estimate_rs(gatesets, SHORT, model="zeroth")
+    assert pooled == serial
+
+
+def test_estimate_rs_leaves_no_worker_running(coherent_gateset, depolarizing_gateset):
+    estimate_rs([coherent_gateset, depolarizing_gateset], SHORT)
+    assert multiprocessing.active_children() == []
+
+
+def test_estimate_rs_in_a_daemonic_process(coherent_gateset, depolarizing_gateset):
+    # a multiprocessing.Pool worker is daemonic and may start no children
+    gatesets = [coherent_gateset, depolarizing_gateset]
+    with multiprocessing.get_context("fork").Pool(1) as pool:  # terminated on exit
+        estimates = pool.apply_async(estimate_rs, (gatesets, SHORT)).get(timeout=120)
+    assert estimates == estimate_rs(gatesets, SHORT)
+
+
+def test_fork_map_takes_a_generator_as_it_yields():
+    started = []
+
+    def items():
+        for x in range(6):
+            started.append(len(multiprocessing.active_children()))
+            yield x
+
+    assert _fork_map(math.factorial, items(), 6) == [math.factorial(x) for x in range(6)]
+    assert multiprocessing.active_children() == []
+    if _fork_workers(6) >= 2:
+        # the workers run before the last item is made
+        assert started[0] == 0 and started[-1] == _fork_workers(6)
+
+
+def test_estimate_rs_fits_on_the_pool_unless_run_rb_uses_it(coherent_gateset, monkeypatch):
+    fitted_here = []
+    fit = protocol.fit_decay
+
+    def counted_fit_decay(dataset, model="first"):
+        fitted_here.append(dataset.lengths)  # a worker appends to its own copy
+        return fit(dataset, model=model)
+
+    monkeypatch.setattr(protocol, "fit_decay", counted_fit_decay)
+    several = RBConfig(lengths=(1, 51, 101, 2001), k_per_length=500, seed=4, repeats=2)
+    assert len(list(_batches(several.lengths, several.k_per_length))) > 1
+    estimate_rs([coherent_gateset], several)
+    assert len(fitted_here) == 2
+    fitted_here.clear()
+    estimate_rs([coherent_gateset], SHORT)  # one batch per run_rb
+    assert len(fitted_here) == (SHORT.repeats if _fork_workers(SHORT.repeats) < 2 else 0)
+
+
+def test_fit_error_pickles():
+    error = pickle.loads(pickle.dumps(FitError("x", 1.0)))
+    assert type(error) is FitError
+    assert str(error) == str(FitError("x", 1.0))
+    assert error.message == "x" and error.best_residual == 1.0
+
+
+def _fail_on(monkeypatch, datasets):
+    """Make fit_decay raise FitError on exactly these datasets; patched here,
+    before any pool forks, so every worker inherits it."""
+    chosen = {d.means.tobytes() for d in datasets}
+    fit = protocol.fit_decay
+
+    def fit_decay_or_fail(dataset, model="first"):
+        if dataset.means.tobytes() in chosen:
+            raise FitError("chosen to fail", 2.5)
+        return fit(dataset, model=model)
+
+    monkeypatch.setattr(protocol, "fit_decay", fit_decay_or_fail)
+
+
+def test_estimate_rs_counts_failed_repeats(coherent_gateset, depolarizing_gateset, monkeypatch):
+    config = replace(SHORT, repeats=4)
+    expected = estimate_rs([coherent_gateset, depolarizing_gateset], config)
+    datasets = list(repeat_datasets(coherent_gateset, config))
+    assert len({d.means.tobytes() for d in datasets}) == 4  # one repeat fails, not its twins
+    _fail_on(monkeypatch, [datasets[1], datasets[3]])
+    coherent, depolarizing = estimate_rs([coherent_gateset, depolarizing_gateset], config)
+    assert coherent.failures == 2
+    assert coherent.fits == (expected[0].fits[0], expected[0].fits[2])
+    assert coherent.r_mean == float(np.mean([f.r_hat for f in coherent.fits]))
+    assert depolarizing == expected[1]
+
+
+def test_estimate_rs_raises_when_most_repeats_fail(coherent_gateset, monkeypatch):
+    config = replace(SHORT, repeats=4)
+    _fail_on(monkeypatch, list(repeat_datasets(coherent_gateset, config))[:3])
+    with pytest.raises(FitError, match="3 of 4 repeats failed"):
+        estimate_rs([coherent_gateset], config)
 
 
 def test_estimate_json_payload(tmp_path):
