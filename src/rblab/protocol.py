@@ -8,7 +8,17 @@ It takes a list of blocks of any lengths and steps them all at once, and
 `run_rb` steps its lengths in such batches. Every sequence length draws from
 its own RNG stream derived from (seed, length index), and `repeat_datasets`
 derives each repeat's seed from (seed, repeat index), so results do not
-depend on evaluation order or batching.
+depend on evaluation order or batching. The circuits depend only on the
+group and the draws, so `run_rb` keeps the last batch's folded circuits
+and reuses them on the next call with the same group object, seed,
+lengths, k_per_length and batch: `estimate_rs` runs its gatesets repeat by
+repeat, so on one group each repeat draws and folds its circuits once for
+every gateset.
+
+`fit_decay` searches p and solves the amplitudes linearly at each trial p
+with LAPACK's `dgelsd` (scipy's build), called directly with the cutoff
+and workspace that `np.linalg.lstsq` gives it, without that wrapper's
+per-call overhead.
 
 One process pool serves every caller: `_fork_map(func, items)` maps a
 module-level function over independent items on worker processes, one per
@@ -36,9 +46,10 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 from scipy.optimize import minimize_scalar
 
 from .clifford import GateSet
@@ -121,10 +132,11 @@ class RBDataset:
         means = np.array(self.means, dtype=float)
         means.setflags(write=False)
         object.__setattr__(self, "means", means)
+        # each check states what valid data meets, so NaN, which fails every comparison, fails it
         for probs, mean in zip(self.survivals, means):
-            if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
+            if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
                 raise ValueError("survival probabilities must lie in [0, 1]")
-            if abs(probs.mean() - mean) > 1e-15:
+            if not abs(probs.mean() - mean) <= 1e-15:
                 raise ValueError("stored mean is inconsistent with per-sequence values")
 
     def std_across_sequences(self) -> np.ndarray:
@@ -223,15 +235,24 @@ def _step_survivals(ptms: np.ndarray, gates: np.ndarray, ends: np.ndarray, rows,
     return [states[r] @ spam.effect.coeffs for r in rows]
 
 
+def _circuits(group, blocks):
+    """The RB circuits of `blocks`, a list of (k_i, m_i) arrays of Clifford
+    indices (applied left to right, every m_i >= 1): each row completed by
+    its inverting Clifford and laid out step-major. Returns (gates, steps,
+    rows): row r runs steps[r] steps, non-increasing, and rows[i] is block
+    i's slice."""
+    gates, ends, rows = _step_major(blocks)
+    del blocks  # the layout holds them now; a caller's temporary list is freed here
+    _fold_inversions(group, gates, ends)
+    return gates, ends + 1, rows
+
+
 def sequence_survivals(gateset: GateSet, blocks, spam: Spam) -> list[np.ndarray]:
     """Exact survival probabilities of RB sequences, each completed by its
     inverting Clifford: `blocks` is a list of (k_i, m_i) arrays of Clifford
     indices (applied left to right, every m_i >= 1) of any lengths. Returns
     one array of k_i survivals per block."""
-    gates, ends, rows = _step_major(blocks)
-    del blocks  # the layout holds them now; a caller's temporary list is freed here
-    _fold_inversions(gateset.ideal, gates, ends)
-    return _step_survivals(gateset.imperfect_stack(), gates, ends + 1, rows, spam)
+    return _step_survivals(gateset.imperfect_stack(), *_circuits(gateset.ideal, blocks), spam)
 
 
 def _draw_sequences(group, rng: np.random.Generator, k: int, m: int) -> np.ndarray:
@@ -254,16 +275,35 @@ def _batches(lengths, k: int):
         yield batch
 
 
+# The circuits of the last `_simulate_batch` call in this process, under
+# their key: the ideal group (held, so that an `is` test cannot match a new
+# group made at a freed one's address), then the seed, lengths, k_per_length
+# and batch they were drawn for. Circuits depend on nothing else, and
+# `estimate_rs` simulates every gateset of a repeat in turn on that repeat's
+# seed, so each gateset after the first steps the circuits the first one
+# drew and folded. One entry only, dropped before the next is built, so that
+# no process holds two layouts at once.
+_last_circuits: dict = {}
+
+
 def _simulate_batch(gateset: GateSet, config: RBConfig, batch: list[int]) -> list[np.ndarray]:
     """Survival probabilities of the lengths config.lengths[i], i in `batch`:
     k_per_length sequences each, drawn from the stream of (seed, i), one
     array per length."""
-    # a temporary list, so that the layout is the only holder of the draws while the batch steps
-    return sequence_survivals(gateset, [
-        _draw_sequences(gateset.ideal, np.random.default_rng(np.random.SeedSequence([config.seed, i])),
-                        config.k_per_length, config.lengths[i])
-        for i in batch
-    ], config.spam)
+    group = gateset.ideal
+    key = (config.seed, config.lengths, config.k_per_length, tuple(batch))
+    if _last_circuits.get("group") is not group or _last_circuits.get("key") != key:
+        _last_circuits.clear()
+        # a temporary list, so that the layout is the only holder of the draws while it folds
+        gates, steps, rows = _circuits(group, [
+            _draw_sequences(group, np.random.default_rng(np.random.SeedSequence([config.seed, i])),
+                            config.k_per_length, config.lengths[i])
+            for i in batch
+        ])
+        gates.setflags(write=False)
+        steps.setflags(write=False)
+        _last_circuits.update(group=group, key=key, circuits=(gates, steps, tuple(rows)))
+    return _step_survivals(gateset.imperfect_stack(), *_last_circuits["circuits"], config.spam)
 
 
 def _fork_workers(items: int) -> int:
@@ -324,6 +364,9 @@ def repeat_datasets(gateset: GateSet, config: RBConfig):
 # --------------------------------------------------------------------------
 
 _P_BOUND_LOGIT = 20.7  # |logit(p)| beyond this means p is pinned at 0 or 1
+# singular values below _EPS * max(rows, cols) times the largest count as
+# zero: the cutoff of `np.linalg.lstsq(..., rcond=None)`
+_EPS = float(np.finfo(float).eps)
 
 
 def _sigmoid(q: float) -> float:
@@ -373,15 +416,32 @@ def _linear_solve_for_p(lengths: np.ndarray, means: np.ndarray, p: float, first_
     """Best (A, B, C) for fixed p, plus the residual vector.
 
     The model is linear in the amplitudes, so the nonlinear search only has
-    to run over p.
+    to run over p. The solve is LAPACK's `dgelsd`, called as
+    `np.linalg.lstsq(design, means, rcond=None)` calls it (the same driver,
+    cutoff and workspace size) but without that wrapper's checks and
+    copies, which cost more than the solve at a few dozen lengths. NaN
+    means give NaN amplitudes, as there.
     """
-    decay = p ** lengths
-    columns = [np.ones_like(lengths), decay]
+    rows, cols = len(lengths), 3 if first_order else 2
+    design = np.empty((rows, cols))
+    design[:, 0] = 1.0
+    design[:, 1] = p ** lengths
     if first_order:
-        columns.append(lengths * decay)
-    design = np.column_stack(columns)
-    coeffs, *_ = np.linalg.lstsq(design, means, rcond=None)
+        design[:, 2] = lengths * design[:, 1]
+    lwork, liwork = _gelsd_workspace(rows, cols)
+    solution, _, _, info = dgelsd(design, means[:, None], lwork, liwork, _EPS * max(rows, cols))
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    coeffs = solution[:cols, 0]
     return coeffs, design @ coeffs - means
+
+
+@lru_cache(maxsize=32)
+def _gelsd_workspace(rows: int, cols: int) -> tuple[int, int]:
+    """The work and integer-work sizes `dgelsd` asks for on a (rows, cols)
+    design and one right-hand side."""
+    work, iwork, _ = dgelsd_lwork(rows, cols, 1)
+    return int(work), int(iwork)
 
 
 def _check_fit(model: str, lengths) -> None:
@@ -561,23 +621,25 @@ def _estimate(outcomes: list) -> RBEstimate:
 
 def estimate_rs(gatesets, config: RBConfig, model: str = "first") -> list[RBEstimate]:
     """`estimate_r` of each gateset. Every repeat of every gateset is
-    simulated here, in order, and fitted on one `_fork_map` as soon as its
-    dataset exists. A config of several batches fits here instead: each
-    `run_rb` then keeps the CPUs busy on a pool of its own, and a fit pool
-    beside it would only add forks (from a process whose pool threads are
-    running)."""
+    simulated here, repeat by repeat with every gateset in turn, and fitted
+    on one `_fork_map` as soon as its dataset exists. A config of several
+    batches fits here instead: each `run_rb` then keeps the CPUs busy on a
+    pool of its own, and a fit pool beside it would only add forks (from a
+    process whose pool threads are running)."""
     if config.repeats < 2:
         raise ValueError("estimate_r needs at least 2 repeats")
     _check_fit(model, config.lengths)  # here, not after every dataset is made
     gatesets = list(gatesets)
-    datasets = (dataset for gateset in gatesets for dataset in repeat_datasets(gateset, config))
+    n = len(gatesets)
+    # repeat-major: every gateset of a repeat in turn, on that repeat's seed,
+    # so that they step the circuits the first one drew (`_simulate_batch`)
+    datasets = (d for per_gateset in zip(*(repeat_datasets(g, config) for g in gatesets)) for d in per_gateset)
     fit = partial(_fit_or_error, model)
     if len(list(_batches(config.lengths, config.k_per_length))) > 1:
         outcomes = list(map(fit, datasets))
     else:
-        outcomes = _fork_map(fit, datasets, len(gatesets) * config.repeats)
-    n = config.repeats
-    return [_estimate(outcomes[i : i + n]) for i in range(0, len(outcomes), n)]
+        outcomes = _fork_map(fit, datasets, n * config.repeats)
+    return [_estimate(outcomes[g::n]) for g in range(n)]
 
 
 def estimate_r(gateset: GateSet, config: RBConfig, model: str = "first") -> RBEstimate:

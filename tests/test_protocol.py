@@ -2,8 +2,10 @@ import json
 import math
 import multiprocessing
 import pickle
+import weakref
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,6 +305,11 @@ def test_dataset_validation_and_csv(tmp_path):
         RBDataset(lengths=(1,), survivals=(np.array([1.5]),), means=np.array([1.5]))
     with pytest.raises(ValueError, match="inconsistent"):
         RBDataset(lengths=(1,), survivals=(np.array([0.5, 0.6]),), means=np.array([0.7]))
+    # NaN fails every comparison, so each check must reject it too
+    with pytest.raises(ValueError, match="lie in"):
+        RBDataset(lengths=(1, 2, 3, 4, 5), survivals=(np.array([np.nan, 0.5]),) * 5, means=[np.nan] * 5)
+    with pytest.raises(ValueError, match="inconsistent"):
+        RBDataset(lengths=(1,), survivals=(np.array([0.5, 0.6]),), means=[np.nan])
     # the simulate command writes the dataset as CSV
     lines = (_simulate(tmp_path) / "rb_dataset.csv").read_text().splitlines()
     assert lines[0].startswith("#")
@@ -331,6 +338,40 @@ def test_fit_recovers_first_order_coefficient():
     fit = fit_decay(_dataset_from_means(ms, 0.5 + (0.4 + 0.001 * ms) * 0.95**ms), model="first")
     assert abs(fit.c - 0.001) < 1e-6
     assert abs(fit.p - 0.95) < 1e-6
+
+
+def _lstsq_solve_for_p(lengths, means, p, first_order):
+    """`protocol._linear_solve_for_p` through `np.linalg.lstsq`, as a reference."""
+    decay = p**lengths
+    design = np.column_stack([np.ones_like(lengths), decay] + ([lengths * decay] if first_order else []))
+    coeffs, *_ = np.linalg.lstsq(design, means, rcond=None)
+    return coeffs, design @ coeffs - means
+
+
+@pytest.mark.parametrize("first_order", [False, True], ids=["zeroth", "first"])
+@pytest.mark.parametrize("lengths", [range(1, 202, 10), LENGTHS], ids=["sweep", "simulate"])
+def test_linear_solve_matches_lstsq(lengths, first_order):
+    ms = np.asarray(lengths, dtype=float)
+    means = 0.5 + (0.45 + 1e-4 * ms) * 0.995**ms + 1e-3 * np.sin(ms)
+    # p = 0, 1e-300 and 1 make the design rank-deficient: equal answers
+    # there mean the same rank cut and the same minimum-norm solution
+    for p in (0.0, 1e-300, 0.9, 0.99, 0.995, 0.9999, 1.0):
+        coeffs, resid = protocol._linear_solve_for_p(ms, means, p, first_order)
+        expected_coeffs, expected_resid = _lstsq_solve_for_p(ms, means, p, first_order)
+        assert coeffs.shape == expected_coeffs.shape
+        assert np.all(np.abs(coeffs - expected_coeffs) <= 1e-12 * np.maximum(1.0, np.abs(expected_coeffs)))
+        assert np.all(np.abs(resid - expected_resid) <= 1e-12 * np.maximum(1.0, np.abs(expected_resid)))
+    # at p = 1 the decay column equals the constant one: the minimum norm splits A + B evenly
+    coeffs, _ = protocol._linear_solve_for_p(ms, means, 1.0, first_order)
+    assert abs(coeffs[0] - coeffs[1]) <= 1e-12
+
+
+def test_fit_of_nan_means_raises_fit_error():
+    # RBDataset rejects NaN, so a stand-in with the two fields fit_decay reads
+    means = 0.5 + 0.5 * 0.99 ** np.asarray(LENGTHS, dtype=float)
+    means[3] = np.nan
+    with pytest.raises(FitError, match="every restart"):
+        fit_decay(SimpleNamespace(lengths=LENGTHS, means=means))
 
 
 def test_fit_zeroth_model_has_no_linear_term():
@@ -471,6 +512,72 @@ def test_estimate_rs_fits_on_the_pool_unless_run_rb_uses_it(coherent_gateset, mo
     fitted_here.clear()
     estimate_rs([coherent_gateset], SHORT)  # one batch per run_rb
     assert len(fitted_here) == (SHORT.repeats if _fork_workers(SHORT.repeats) < 2 else 0)
+
+
+def _counted(monkeypatch, name):
+    """Replace protocol.`name` with a wrapper that appends each call's
+    arguments to the returned list (calls made in this process only)."""
+    calls = []
+    original = getattr(protocol, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(protocol, name, counted)
+    return calls
+
+
+def test_estimate_rs_draws_each_repeat_once_for_every_gateset(
+    coherent_gateset, depolarizing_gateset, general_gateset, one_cpu, monkeypatch
+):
+    gatesets = [coherent_gateset, depolarizing_gateset, general_gateset]
+    config = replace(SHORT, seed=131)
+    runs = _counted(monkeypatch, "run_rb")
+    for gateset in gatesets:
+        list(repeat_datasets(gateset, config))
+    expected = [(id(g), c) for g, c in runs]  # gateset by gateset
+    runs.clear()
+    draws = _counted(monkeypatch, "_draw_sequences")
+    with one_cpu():
+        estimates = estimate_rs(gatesets, config)
+    assert len(draws) == config.repeats * len(config.lengths)
+    # run_rb still runs once per (gateset, repeat) on the config repeat_datasets gives it, repeat by repeat
+    n = config.repeats
+    assert [(id(g), c) for g, c in runs] == [expected[i * n + r] for r in range(n) for i in range(len(gatesets))]
+    assert estimates == [estimate_r(g, config) for g in gatesets]
+
+
+def test_estimate_rs_shares_circuits_only_on_the_same_group(coherent_gateset, one_cpu, monkeypatch):
+    copy = replace(coherent_gateset, ideal=replace(coherent_gateset.ideal))
+    assert copy.ideal is not coherent_gateset.ideal
+    config = replace(SHORT, seed=137)
+    draws = _counted(monkeypatch, "_draw_sequences")
+    with one_cpu():
+        original, copied = estimate_rs([coherent_gateset, copy], config)
+    assert len(draws) == 2 * config.repeats * len(config.lengths)
+    assert copied == original
+
+
+def test_simulate_batch_keeps_one_layout(coherent_gateset, depolarizing_gateset, one_cpu, monkeypatch):
+    built = []
+    circuits = protocol._circuits
+
+    def tracked(group, blocks):
+        assert all(ref() is None for ref in built)  # the last layout is dropped before the next is built
+        layout = circuits(group, blocks)
+        built.append(weakref.ref(layout[0]))
+        return layout
+
+    monkeypatch.setattr(protocol, "_circuits", tracked)
+    with one_cpu():
+        for seed in (139, 149, 151):
+            for gateset in (coherent_gateset, depolarizing_gateset):
+                run_rb(gateset, replace(SHORT, seed=seed))
+    assert len(built) == 3
+    assert [ref() is not None for ref in built] == [False, False, True]
+    gates, steps, _ = protocol._last_circuits["circuits"]
+    assert not gates.flags.writeable and not steps.flags.writeable
 
 
 def test_fit_error_pickles():

@@ -12,10 +12,11 @@ seeds by running the batch helper, `_simulate_batch`, in this process over
 the same batches (in a worker, a timer set here would read nothing): the
 inversion fold (folded sequence indices, k * m per length, per second) and
 the survival step (gate applications per second) are the module functions
-that `sequence_survivals`, which the helper calls, runs for them; the rest
-is sampling and layout. Only numpy and
-the standard library are used. With --out, the result is stored under
---label in that JSON file, next to the labels already there.
+that the helper runs for them; the rest is sampling and layout. Before
+each timed call the circuits that the helper keeps for its next call on
+the same seed are dropped, so every call draws and folds its own. Only
+numpy and the standard library are used. With --out, the result is stored
+under --label in that JSON file, next to the labels already there.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ SHAPES = {
     "simulate": {"lengths": tuple(range(1, 2002, 50)), "k_per_length": 500},
     "sweep": {"lengths": tuple(range(1, 202, 10)), "k_per_length": 20},
 }
-# the protocol function that the batch helper reaches, through `sequence_survivals`, for each stage
+# the protocol function that the batch helper reaches for each stage
 STAGES = {"fold": "_fold_inversions", "step": "_step_survivals"}
+
+
+def _drop_circuits() -> None:
+    """Drop the circuits `_simulate_batch` keeps from its last call (trees
+    older than that keep none)."""
+    getattr(protocol, "_last_circuits", {}).clear()
 
 
 def _timed(stage_seconds: dict, stage: str):
@@ -65,6 +72,7 @@ def bench_shape(gateset, lengths, k_per_length: int, repeats: int) -> dict:
     protocol.run_rb(gateset, config)  # warm-up, untimed
     totals = []
     for seed in range(repeats):
+        _drop_circuits()
         start = perf_counter()
         protocol.run_rb(gateset, replace(config, seed=seed))
         totals.append(perf_counter() - start)
@@ -80,6 +88,7 @@ def bench_shape(gateset, lengths, k_per_length: int, repeats: int) -> dict:
             seeded = replace(config, seed=seed)
             start = perf_counter()
             for batch in batches:
+                _drop_circuits()
                 simulate(seeded, batch)
             in_process.append(perf_counter() - start)
             for stage in STAGES:

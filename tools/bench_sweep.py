@@ -8,13 +8,16 @@ length and 12 repeats per theta, so 96 datasets and 96 fits. The gatesets
 are built once; then the estimates of all 8 run on seeds 0..N-1, first as
 they run by default (each dataset simulated in this process and fitted on
 the worker processes of `protocol._fork_map`) and then with this process
-pinned to one CPU, so that every fit runs here. Reported: the median
-seconds of each pass, the worker count, fits per second of the default
-pass, and a sha1 over every seed's estimates (r mean and std, and every
-fit's parameters and flags), with a check that both passes give the same
-bytes. Only numpy and the standard library are used. With --out, the
-result is stored under --label in that JSON file, next to the labels
-already there.
+pinned to one CPU, so that every fit runs here. The pinned pass also times
+every call of `protocol.fit_decay` and `protocol.run_rb` (in a worker, a
+timer set here would read nothing), which splits a sweep's work into its
+fits and its simulation. Reported: the median seconds of each pass and of
+the pinned pass's fits and simulation, the worker count, fits per second
+of the default pass, and a sha1 over every seed's estimates (r mean and
+std, and every fit's parameters and flags), with a check that both passes
+give the same bytes. Only numpy and the standard library are used. With
+--out, the result is stored under --label in that JSON file, next to the
+labels already there.
 """
 
 from __future__ import annotations
@@ -47,15 +50,17 @@ def _estimates(gatesets, config):
     return protocol.estimate_rs(gatesets, config)
 
 
+def _sweep(gatesets, seed: int):
+    """(seconds, estimates) of the sweep's fits on one seed."""
+    config = RBConfig(lengths=LENGTHS, k_per_length=K_PER_LENGTH, seed=seed, repeats=REPEATS)
+    start = perf_counter()
+    estimates = _estimates(gatesets, config)
+    return perf_counter() - start, estimates
+
+
 def _sweeps(gatesets, repeats: int):
-    """(seconds, estimates) of the sweep's fits on each seed 0..repeats-1."""
-    timed = []
-    for seed in range(repeats):
-        config = RBConfig(lengths=LENGTHS, k_per_length=K_PER_LENGTH, seed=seed, repeats=REPEATS)
-        start = perf_counter()
-        estimates = _estimates(gatesets, config)
-        timed.append((perf_counter() - start, estimates))
-    return timed
+    """`_sweep` on each seed 0..repeats-1."""
+    return [_sweep(gatesets, seed) for seed in range(repeats)]
 
 
 def _sha1(sweeps) -> str:
@@ -69,14 +74,40 @@ def _sha1(sweeps) -> str:
     return digest.hexdigest()
 
 
+# the protocol functions the pinned pass times: a sweep's fits and its simulation
+STAGES = {"fit": "fit_decay", "simulate": "run_rb"}
+
+
 def _one_cpu_sweeps(gatesets, repeats: int):
-    """`_sweeps` pinned to one CPU."""
+    """`_sweeps` pinned to one CPU, each with the seconds it spent in each
+    of the STAGES: (seconds, estimates, {stage: seconds})."""
+    spent = dict.fromkeys(STAGES, 0.0)
+    originals = {stage: getattr(protocol, name) for stage, name in STAGES.items()}
+
+    def timed(stage):
+        def wrapper(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return originals[stage](*args, **kwargs)
+            finally:
+                spent[stage] += perf_counter() - start
+
+        return wrapper
+
     usable = os.sched_getaffinity(0)
+    for stage, name in STAGES.items():
+        setattr(protocol, name, timed(stage))
     os.sched_setaffinity(0, {min(usable)})
     try:
-        return _sweeps(gatesets, repeats)
+        sweeps = []
+        for seed in range(repeats):
+            spent.update(dict.fromkeys(STAGES, 0.0))
+            sweeps.append((*_sweep(gatesets, seed), dict(spent)))
+        return sweeps
     finally:
         os.sched_setaffinity(0, usable)
+        for stage, name in STAGES.items():
+            setattr(protocol, name, originals[stage])
 
 
 def main(argv=None) -> int:
@@ -101,10 +132,12 @@ def main(argv=None) -> int:
         "workers": protocol._fork_workers(fits) if POOLED else 1,
         "sweep_s": statistics.median(seconds),
         "sweep_s_all": seconds,
-        "one_cpu_s": statistics.median(s for s, _ in one_cpu),
+        "one_cpu_s": statistics.median(s for s, _, _ in one_cpu),
+        "one_cpu_fit_s": statistics.median(spent["fit"] for _, _, spent in one_cpu),
+        "one_cpu_simulate_s": statistics.median(spent["simulate"] for _, _, spent in one_cpu),
         "fits_per_s": fits * len(seconds) / sum(seconds),
         "sha1": sha1,
-        "one_cpu_sha1_equal": _sha1(e for _, e in one_cpu) == sha1,
+        "one_cpu_sha1_equal": _sha1(e for _, e, _ in one_cpu) == sha1,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
