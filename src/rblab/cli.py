@@ -419,10 +419,10 @@ def _parse(config) -> tuple[dict, list[str]]:
         repeats = "rb.repeats" if command == "simulate" else "sweep.repeats"
         if values[repeats] < 2:
             problems.append(f"{repeats}: command {command!r} needs at least 2 repeats")
-        fit_model = values["rb.fit_model"]
-        needed = protocol.FIT_PARAMETERS[fit_model]
-        if len(set(values["rb.lengths"])) < needed:
-            problems.append(f"rb.lengths: the {fit_model}-order fit needs at least {needed} distinct lengths")
+        try:
+            protocol._check_fit(values["rb.fit_model"], values["rb.lengths"])
+        except ValueError as exc:
+            problems.append(f"rb.lengths: {exc}")
     return values, problems
 
 

@@ -112,6 +112,8 @@ class RBConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(int(m) for m in self.lengths))
+        if not self.lengths:
+            raise ValueError("RBConfig needs at least one length")
         if any(m < 1 for m in self.lengths):
             raise ValueError("all sequence lengths must be >= 1")
         if self.k_per_length < 1:
@@ -132,6 +134,8 @@ class RBDataset:
         means = np.array(self.means, dtype=float)
         means.setflags(write=False)
         object.__setattr__(self, "means", means)
+        if len(self.survivals) != len(self.lengths) or means.shape != (len(self.lengths),):
+            raise ValueError("lengths, survivals and means must have one entry per length")
         # each check states what valid data meets, so NaN, which fails every comparison, fails it
         for probs, mean in zip(self.survivals, means):
             if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):

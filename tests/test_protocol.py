@@ -310,6 +310,11 @@ def test_dataset_validation_and_csv(tmp_path):
         RBDataset(lengths=(1, 2, 3, 4, 5), survivals=(np.array([np.nan, 0.5]),) * 5, means=[np.nan] * 5)
     with pytest.raises(ValueError, match="inconsistent"):
         RBDataset(lengths=(1,), survivals=(np.array([0.5, 0.6]),), means=[np.nan])
+    # one survival array and one mean per length: a zip of the three would check only the shortest
+    with pytest.raises(ValueError, match="one entry per length"):
+        RBDataset(lengths=(1, 11, 21, 31), survivals=(np.array([0.9, 0.91]),), means=[0.905, 0.5, 0.4, 0.3])
+    with pytest.raises(ValueError, match="one entry per length"):
+        RBDataset(lengths=(1, 11), survivals=(np.array([0.9]), np.array([0.5])), means=[0.9])
     # the simulate command writes the dataset as CSV
     lines = (_simulate(tmp_path) / "rb_dataset.csv").read_text().splitlines()
     assert lines[0].startswith("#")
@@ -386,6 +391,11 @@ def test_fit_flags_no_decay():
     fit = fit_decay(_dataset_from_means(ms, np.ones(len(ms))))
     assert "no-decay" in fit.flags
     assert np.isnan(fit.r_hat)
+
+
+def test_config_needs_a_length():
+    with pytest.raises(ValueError, match="at least one length"):
+        RBConfig(lengths=())
 
 
 def test_fit_requires_enough_lengths():
