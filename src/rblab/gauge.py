@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy import optimize
 
 from .clifford import GateIndependent, GateSet, build_gateset
 from .protocol import Spam, _fork_map
@@ -212,15 +211,16 @@ def _objective(params: np.ndarray, tilde: np.ndarray, ideal_inv: np.ndarray) -> 
     return eps + _CP_PENALTY * violation * violation
 
 
-def _restart(tilde: np.ndarray, ideal_inv: np.ndarray, seed: int, index: int):
-    """One Nelder-Mead run of the search, from the identity for index 0 and
-    from a random start drawn from the stream of (seed, index) otherwise:
-    its end point and `_evaluate` there. It calls no other rblab function
-    (the Choi spectrum is computed inline), so running it in a worker
-    process hides no call from a tracer in the parent."""
+def _restart(minimize, tilde: np.ndarray, ideal_inv: np.ndarray, seed: int, index: int):
+    """One Nelder-Mead run of the search by `minimize` (scipy's), from the
+    identity for index 0 and from a random start drawn from the stream of
+    (seed, index) otherwise: its end point and `_evaluate` there. It calls
+    no other rblab function (the Choi spectrum is computed inline), so
+    running it in a worker process hides no call from a tracer in the
+    parent."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     start = np.zeros(12) if index == 0 else 0.02 * rng.standard_normal(12)
-    res = optimize.minimize(
+    res = minimize(
         _objective,
         start,
         args=(tilde, ideal_inv),
@@ -246,12 +246,16 @@ def epsilon_min_search(
     `protocol._fork_map`'s worker processes; the incumbent then walks them
     in index order, so the result does not depend on the worker count.
     """
+    # imported on first use, so that fitting never loads it, and here, before
+    # the workers fork, so that they inherit it rather than import it again
+    from scipy.optimize import minimize
+
     tilde = gateset.imperfect_stack()
     ideal_inv = np.stack([np.linalg.inv(e.ptm) for e in gateset.ideal.elements])
 
     best_params = np.zeros(12)
     best_eps, best_min_eig = _evaluate(best_params, tilde, ideal_inv)
-    for params, evaluated in _fork_map(partial(_restart, tilde, ideal_inv, seed), range(restarts)):
+    for params, evaluated in _fork_map(partial(_restart, minimize, tilde, ideal_inv, seed), range(restarts)):
         if evaluated is None:
             continue
         eps, min_eig = evaluated

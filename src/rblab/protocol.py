@@ -18,7 +18,9 @@ every gateset.
 `fit_decay` searches p and solves the amplitudes linearly at each trial p
 with LAPACK's `dgelsd` (scipy's build), called directly with the cutoff
 and workspace that `np.linalg.lstsq` gives it, without that wrapper's
-per-call overhead.
+per-call overhead. Each scan's best windows are polished by `_bounded_brent`,
+an in-house port of scipy's bounded Brent minimizer that returns the same
+bits, so fitting loads no `scipy.optimize`.
 
 One process pool serves every caller: `_fork_map(func, items)` maps a
 module-level function over independent items on worker processes, one per
@@ -42,6 +44,7 @@ warn about every such fork (a DeprecationWarning that rblab leaves visible).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -50,7 +53,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork
-from scipy.optimize import minimize_scalar
 
 from .clifford import GateSet
 from .superop import Effect, State
@@ -468,8 +470,10 @@ def fit_decay(dataset: RBDataset, model: str = "first") -> FitResult:
     """
     _check_fit(model, dataset.lengths)
 
-    lengths = np.asarray(dataset.lengths, dtype=float)
-    means = np.asarray(dataset.means, dtype=float)
+    # the initial guesses read the means in length order; `run_rb` keeps the config's order
+    order = np.argsort(dataset.lengths, kind="stable")
+    lengths = np.asarray(dataset.lengths, dtype=float)[order]
+    means = np.asarray(dataset.means, dtype=float)[order]
 
     if means.max() - means.min() < 1e-12:
         return FitResult(
@@ -581,8 +585,7 @@ def _scan_for_q(lengths, means, first_order: bool, candidates: np.ndarray) -> fl
         return lo, hi
 
     def polish(lo, hi):
-        res = minimize_scalar(cost, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
-        return float(res.x), float(res.fun)
+        return _bounded_brent(cost, float(lo), float(hi), xatol=1e-13)
 
     order = np.argsort(costs)
     results = [(float(candidates[i]), float(costs[i])) for i in order[:2]]
@@ -596,6 +599,87 @@ def _scan_for_q(lengths, means, first_order: bool, candidates: np.ndarray) -> fl
     results.append(polish(*window(fine, fine_idx)))
     best_q, _ = min(results, key=lambda qc: qc[1])
     return best_q
+
+
+def _step_sign(value: float) -> float:
+    """scipy's `np.sign(value) + (value == 0)`: +1 at +-0. `value` is never
+    NaN here: every step is finite on finite bounds."""
+    return -1.0 if value < 0.0 else 1.0
+
+
+def _bounded_brent(func, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Minimize `func` on [lo, hi] by Brent's method (golden section plus
+    parabolic steps; Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5): the (x, func(x)) it settles on.
+
+    A step-for-step port of scipy's `_minimize_scalar_bounded` (BSD-3, the
+    SciPy developers), the solver behind `minimize_scalar(func, bounds=(lo,
+    hi), method="bounded", options={"xatol": xatol})`, with its constants,
+    branch order and 500-call cap, so it evaluates `func` at the same points
+    and returns the same bits; the fit needs no more of `scipy.optimize`.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    calls = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _step_sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _step_sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        calls += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= 500:
+            break
+    return xf, fx
 
 
 def _fit_or_error(model: str, dataset: RBDataset) -> FitResult | FitError:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "Superoperator",
@@ -303,6 +302,8 @@ def diamond_bracket(a: Superoperator, b: Superoperator, seed: int = 0) -> tuple[
     start = bloch * (np.arcsin(min(norm, 1.0)) / norm if norm > 0 else 1.0)
     lower = _input_value(choi, start)
     if upper - lower > 1e-12 * max(1.0, upper):
+        from scipy import optimize  # at first use, so that importing rblab does not load it
+
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         simplex = np.vstack([start, start + 0.1 * rng.standard_normal((3, 3))])
         res = optimize.minimize(

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import warnings
 import weakref
 from dataclasses import replace
 from itertools import product
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from rblab import (
     Effect,
@@ -369,6 +371,78 @@ def test_linear_solve_matches_lstsq(lengths, first_order):
     # at p = 1 the decay column equals the constant one: the minimum norm splits A + B evenly
     coeffs, _ = protocol._linear_solve_for_p(ms, means, 1.0, first_order)
     assert abs(coeffs[0] - coeffs[1]) <= 1e-12
+
+
+def _recorded(func):
+    """`func` and the list of points it is called at."""
+    calls = []
+
+    def recorded(x):
+        calls.append(x)
+        return func(x)
+
+    return recorded, calls
+
+
+def _sweep_cost(gateset):
+    """`_scan_for_q`'s zeroth-order cost on one fixed sweep-shaped dataset:
+    lengths 1..201 step 10, 20 sequences, seed 3."""
+    dataset = run_rb(gateset, RBConfig(lengths=range(1, 202, 10), k_per_length=20, seed=3))
+    lengths, means = np.asarray(dataset.lengths, dtype=float), dataset.means
+
+    def cost(q):
+        _, resid = protocol._linear_solve_for_p(lengths, means, protocol._sigmoid(q), False)
+        return float(resid @ resid)
+
+    return cost
+
+
+_BRENT_CASES = {
+    "quadratic": (lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 2.0),
+    "minimum-at-lower-bound": (lambda x: 2.0 * x, 0.5, 1.5),
+    "minimum-at-upper-bound": (lambda x: -x * x, -0.25, 3.0),
+    "constant": (lambda x: 0.75, -2.0, 2.0),
+    # a funnel 1e-3 wide, deeper than the broad minimum at 0.7 beside it
+    "narrow-funnel": (lambda x: 0.1 * (x - 0.7) ** 2 - math.exp(-(((x + 0.4) / 1e-3) ** 2)), -1.0, 1.0),
+    # a kink in a window 1e155 wide: the search stops at its cap of 500 calls
+    "call-cap": (lambda x: 1e-160 * abs(x), -1e155, 3e154),
+}
+
+
+@pytest.mark.parametrize("name", [*_BRENT_CASES, "sweep-cost-wide", "sweep-cost-narrow"])
+def test_bounded_brent_equals_scipy(name, coherent_gateset):
+    if name.startswith("sweep-cost"):
+        # the fitted q = logit(p) is about 6.18: a wide window around it, and
+        # one 2e-9 wide, as `_scan_for_q` makes around a lone candidate
+        lo, hi = (4.0, 9.0) if name.endswith("wide") else (6.18 - 1e-9, 6.18 + 1e-9)
+        func = _sweep_cost(coherent_gateset)
+    else:
+        func, lo, hi = _BRENT_CASES[name]
+    ours, our_calls = _recorded(func)
+    theirs, their_calls = _recorded(func)
+    x, fx = protocol._bounded_brent(ours, lo, hi, xatol=1e-13)
+    res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
+    assert (np.float64(x).tobytes(), np.float64(fx).tobytes()) == (
+        np.float64(res.x).tobytes(),
+        np.float64(res.fun).tobytes(),
+    )
+    assert len(our_calls) == res.nfev
+    assert (res.nfev == 500) == (name == "call-cap")
+    assert np.array(our_calls, dtype=float).tobytes() == np.array(their_calls, dtype=float).tobytes()
+
+
+def test_fit_does_not_depend_on_the_order_of_the_lengths(coherent_gateset):
+    dataset = run_rb(coherent_gateset, RBConfig(lengths=range(1, 202, 10), k_per_length=20, seed=3))
+    order = np.random.default_rng(17).permutation(len(dataset.lengths))
+    permuted = RBDataset(
+        lengths=tuple(dataset.lengths[i] for i in order),
+        survivals=tuple(dataset.survivals[i] for i in order),
+        means=dataset.means[order],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in ("zeroth", "first"):
+            assert fit_decay(permuted, model=model) == fit_decay(dataset, model=model)
 
 
 def test_fit_of_nan_means_raises_fit_error():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import rblab.superop
 from rblab import (
     Effect,
     State,
@@ -317,13 +317,13 @@ def test_diamond_bracket_polishes_amplitude_damping(monkeypatch):
         [[1, 0, 0, 0], [0, np.sqrt(1 - gamma), 0, 0], [0, 0, np.sqrt(1 - gamma), 0], [gamma, 0, 0, 1 - gamma]]
     )
     searches = []
-    minimize = rblab.superop.optimize.minimize
+    minimize = scipy.optimize.minimize
 
     def spy(*args, **kwargs):
         searches.append(args)
         return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(rblab.superop.optimize, "minimize", spy)
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
     lower, upper = diamond_bracket(damping, IDENTITY)
     assert len(searches) == 1, "a non-unital difference should take the polish path"
     oracle = _grid_oracle_diamond(damping, IDENTITY)

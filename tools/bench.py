@@ -1,8 +1,8 @@
 """Time rblab's layers on fixed seeds, shape by shape, and check their bytes.
 
-    PYTHONPATH=src python tools/bench.py [kernel|sweep|gauge ...] [--repeats N] [--label NAME]
+    PYTHONPATH=src python tools/bench.py [kernel|sweep|gauge|startup ...] [--repeats N] [--label NAME]
 
-The shapes (all three when none is named):
+The shapes (all four when none is named):
 
 - kernel: `protocol.run_rb` on coherent_z with theta = 0.1, at the
   `simulate` size (41 lengths 1..2001 x 500 sequences) and the `sweep` size
@@ -14,6 +14,12 @@ The shapes (all three when none is named):
   sequences per length and 12 repeats per theta, so 96 datasets and fits.
 - gauge: `gauge.epsilon_min_search` on the lambda = 0.99 depolarizing
   gateset of the `analysis` workload, at 2 and 8 restarts.
+- startup: a fresh interpreter that sets up as `perfbench/startup.py` does
+  (imports `rblab` and `rblab.cli`, builds the Clifford group, its
+  compilation and the coherent_z theta = 0.1 gateset), then fits one
+  `run_rb` of the `sweep` size on the seed. Its sha1 is that of the sorted
+  `scipy` modules the interpreter has loaded by then, so a change that
+  makes set-up or fitting import more of scipy changes it.
 
 Each case of a shape runs on seeds 0..N-1 twice: first as it runs by
 default (on the worker processes of `protocol._fork_map`), then with this
@@ -22,7 +28,8 @@ functions of the shape's stages wrapped (in a worker, a wrapper set here
 would read nothing). The pinned pass times each stage and counts its work:
 the kernel's inversion fold (folded indices) and survival step (gate
 applications), the sweep's fits and simulation, and the gauge search's
-Nelder-Mead runs (objective evaluations, their `nfev`). Reported per case:
+Nelder-Mead runs (objective evaluations, their `nfev`); the startup shape
+has no stage, since its work runs in the child. Reported per case:
 the median seconds of each pass and of each stage, each stage's work over
 the pass and its rate over the stage's seconds, and a sha1 of each pass's
 results. The run exits 1 when the two sha1s of any case differ. With
@@ -39,6 +46,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,7 +54,9 @@ from time import perf_counter
 from typing import Callable
 
 import numpy as np
+import scipy.optimize
 
+import rblab
 from rblab import CoherentZ, GateIndependent, RBConfig, build_gateset, gauge, protocol
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,7 +168,7 @@ def _gauge_sha1(results) -> str:
 def gauge_search() -> dict:
     lam = 0.99
     gateset = build_gateset(GateIndependent.depolarizing(lam))
-    stages = {"minimize": Stage(gauge.optimize, "minimize", "evaluations", lambda res, *args: int(res.nfev))}
+    stages = {"minimize": Stage(scipy.optimize, "minimize", "evaluations", lambda res, *args: int(res.nfev))}
 
     def case(restarts: int) -> Case:
         def call(seed: int):
@@ -169,7 +179,38 @@ def gauge_search() -> dict:
     return {f"restarts_{n}": case(n) for n in (2, 8)}
 
 
-SHAPES = {"kernel": kernel, "sweep": sweep, "gauge": gauge_search}
+# run as `python -c _STARTUP <src dir> <seed>`; prints the loaded scipy modules, one a line
+_STARTUP = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import rblab
+import rblab.cli
+
+group = rblab.generate_clifford_group()
+gateset = rblab.build_gateset(rblab.CoherentZ(0.1), group, rblab.compile_cliffords(group))
+config = rblab.RBConfig(lengths=range(1, 202, 10), k_per_length=20, seed=int(sys.argv[2]))
+rblab.fit_decay(rblab.run_rb(gateset, config))
+print("\\n".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def startup() -> dict:
+    src = str(Path(rblab.__file__).resolve().parent.parent)
+
+    def call(seed: int) -> str:
+        args = [sys.executable, "-c", _STARTUP, src, str(seed)]
+        return subprocess.run(args, capture_output=True, text=True, check=True).stdout
+
+    about = {
+        "model": {"name": "coherent_z", "theta": 0.1},
+        "lengths": {"start": 1, "stop": 201, "step": 10},
+        "k_per_length": 20,
+    }
+    return {"fresh_interpreter": Case(call, lambda outputs: _sha1(out.encode() for out in outputs), {}, about)}
+
+
+SHAPES = {"kernel": kernel, "sweep": sweep, "gauge": gauge_search, "startup": startup}
 
 
 def _timed(call: Callable, seed: int):
