@@ -16,11 +16,12 @@ repeat, so on one group each repeat draws and folds its circuits once for
 every gateset.
 
 `fit_decay` searches p and solves the amplitudes linearly at each trial p
-with LAPACK's `dgelsd` (scipy's build), called directly with the cutoff
-and workspace that `np.linalg.lstsq` gives it, without that wrapper's
-per-call overhead. Each scan's best windows are polished by `_bounded_brent`,
-an in-house port of scipy's bounded Brent minimizer that returns the same
-bits, so fitting loads no `scipy.optimize`.
+with LAPACK's `dgelsd` (numpy's build), through the gufunc behind
+`np.linalg.lstsq` with that function's cutoff, without its per-call checks
+and copies. Each grid of trial p is one stacked solve. Each scan's best
+windows are polished by `_bounded_brent`, an in-house port of scipy's
+bounded Brent minimizer that returns the same bits, so fitting, and
+importing rblab, load no scipy.
 
 One process pool serves every caller: `_fork_map(func, items)` maps a
 module-level function over independent items on worker processes, one per
@@ -36,7 +37,7 @@ runs the items in-process when there are fewer than two, one usable CPU,
 no "fork" start method, or when it runs in a daemonic process, which may
 start no children.
 The pool is made and joined inside each call. Workers are forked, not
-spawned: a spawned worker would import numpy and scipy again on every call.
+spawned: a spawned worker would import numpy again on every call.
 A process that has threads may deadlock a forked child if a lock is held at
 the fork; numpy's OpenBLAS keeps a thread pool, and Python 3.12 and later
 warn about every such fork (a DeprecationWarning that rblab leaves visible).
@@ -49,10 +50,10 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork
+from numpy.linalg import _umath_linalg
 
 from .clifford import GateSet
 from .superop import Effect, State
@@ -373,9 +374,12 @@ _P_BOUND_LOGIT = 20.7  # |logit(p)| beyond this means p is pinned at 0 or 1
 # singular values below _EPS * max(rows, cols) times the largest count as
 # zero: the cutoff of `np.linalg.lstsq(..., rcond=None)`
 _EPS = float(np.finfo(float).eps)
+# numpy's least-squares gufunc, (m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p); numpy
+# 1.x names its m > n loop, the only shape the fit solves, `lstsq_n`
+_lstsq = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_n
 
 
-def _sigmoid(q: float) -> float:
+def _sigmoid(q):
     return 1.0 / (1.0 + np.exp(-q))
 
 
@@ -418,36 +422,29 @@ def _initial_p0s(lengths: np.ndarray, means: np.ndarray) -> list[float]:
     return guesses
 
 
-def _linear_solve_for_p(lengths: np.ndarray, means: np.ndarray, p: float, first_order: bool):
-    """Best (A, B, C) for fixed p, plus the residual vector.
+def _solve_stack(lengths: np.ndarray, means: np.ndarray, ps, first_order: bool):
+    """Best (A, B, C) for each trial p in `ps`, plus the residual vectors:
+    arrays of shape `ps.shape + (cols,)` and `ps.shape + (rows,)`, so a float
+    p gives one solve.
 
     The model is linear in the amplitudes, so the nonlinear search only has
-    to run over p. The solve is LAPACK's `dgelsd`, called as
-    `np.linalg.lstsq(design, means, rcond=None)` calls it (the same driver,
-    cutoff and workspace size) but without that wrapper's checks and
-    copies, which cost more than the solve at a few dozen lengths. NaN
-    means give NaN amplitudes, as there.
+    to run over p. All the solves are one call of numpy's `lstsq` gufunc, the
+    LAPACK `dgelsd` kernel behind `np.linalg.lstsq`, with its cutoff; that
+    wrapper takes no stack, and its checks and copies cost more than the
+    solve at a few dozen lengths. Each matrix of the stack gets the bits of
+    its own `np.linalg.lstsq(design, means, rcond=None)`. NaN means give NaN
+    amplitudes, as there; an SVD that does not converge gives NaN too, with
+    numpy's RuntimeWarning.
     """
     rows, cols = len(lengths), 3 if first_order else 2
-    design = np.empty((rows, cols))
-    design[:, 0] = 1.0
-    design[:, 1] = p ** lengths
+    ps = np.asarray(ps, dtype=float)
+    design = np.empty(ps.shape + (rows, cols))
+    design[..., 0] = 1.0
+    design[..., 1] = ps[..., None] ** lengths
     if first_order:
-        design[:, 2] = lengths * design[:, 1]
-    lwork, liwork = _gelsd_workspace(rows, cols)
-    solution, _, _, info = dgelsd(design, means[:, None], lwork, liwork, _EPS * max(rows, cols))
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    coeffs = solution[:cols, 0]
-    return coeffs, design @ coeffs - means
-
-
-@lru_cache(maxsize=32)
-def _gelsd_workspace(rows: int, cols: int) -> tuple[int, int]:
-    """The work and integer-work sizes `dgelsd` asks for on a (rows, cols)
-    design and one right-hand side."""
-    work, iwork, _ = dgelsd_lwork(rows, cols, 1)
-    return int(work), int(iwork)
+        design[..., 2] = lengths * design[..., 1]
+    solution = _lstsq(design, means[:, None], _EPS * max(rows, cols))[0]
+    return solution[..., 0], (design @ solution)[..., 0] - means
 
 
 def _check_fit(model: str, lengths) -> None:
@@ -515,16 +512,14 @@ def fit_decay(dataset: RBDataset, model: str = "first") -> FitResult:
         local = np.concatenate([np.linspace(q_zeroth - 0.1, q_zeroth + 0.1, 41), [q_zeroth]])
         local = np.unique(np.clip(local, q_floor, q_cap))
         candidate = _scan_for_q(lengths, means, first_order=True, candidates=local)
-        _, anchor_resid = _linear_solve_for_p(lengths, means, _sigmoid(q_zeroth), True)
-        _, move_resid = _linear_solve_for_p(lengths, means, _sigmoid(candidate), True)
-        anchor_cost = float(anchor_resid @ anchor_resid)
+        anchor_cost = float(_costs(lengths, means, q_zeroth, True))
         # an anchor already at machine zero cannot be meaningfully improved
-        if anchor_cost > 1e-24 and float(move_resid @ move_resid) < anchor_cost * 0.9:
+        if anchor_cost > 1e-24 and float(_costs(lengths, means, candidate, True)) < anchor_cost * 0.9:
             best_q = candidate
 
     first_order = model == "first"
     p = _sigmoid(best_q)
-    coeffs, resid = _linear_solve_for_p(lengths, means, p, first_order)
+    coeffs, resid = _solve_stack(lengths, means, p, first_order)
     a, b = float(coeffs[0]), float(coeffs[1])
     c = float(coeffs[2]) if first_order else 0.0
     flags = []
@@ -565,14 +560,13 @@ def _scan_for_q(lengths, means, first_order: bool, candidates: np.ndarray) -> fl
 
     Evaluates all candidates, Brent-polishes the two best windows, and
     re-grids the best window finely: the landscape can hide a narrow global
-    funnel next to a shallow local minimum.
+    funnel next to a shallow local minimum. Each grid is one `_costs` call.
     """
 
     def cost(q: float) -> float:
-        _, resid = _linear_solve_for_p(lengths, means, _sigmoid(q), first_order)
-        return float(resid @ resid)
+        return float(_costs(lengths, means, q, first_order))
 
-    costs = np.array([cost(q) for q in candidates])
+    costs = _costs(lengths, means, candidates, first_order)
     if not np.isfinite(costs).any():
         raise FitError("decay fit failed for every restart", float("inf"))
 
@@ -593,12 +587,21 @@ def _scan_for_q(lengths, means, first_order: bool, candidates: np.ndarray) -> fl
         results.append(polish(*window(candidates, int(idx))))
     lo, hi = window(candidates, int(order[0]))
     fine = np.linspace(lo, hi, 25)
-    fine_costs = np.array([cost(q) for q in fine])
+    fine_costs = _costs(lengths, means, fine, first_order)
     fine_idx = int(np.argmin(fine_costs))
     results.append((float(fine[fine_idx]), float(fine_costs[fine_idx])))
     results.append(polish(*window(fine, fine_idx)))
     best_q, _ = min(results, key=lambda qc: qc[1])
     return best_q
+
+
+def _costs(lengths, means, qs, first_order: bool):
+    """The projected squared residual at each q = logit(p) in `qs` (a float
+    or an array), from one stacked solve. Each is `resid @ resid` of its
+    own solve, bit for bit: a stacked (1, rows) @ (rows, 1) product rounds
+    as that dot product does."""
+    _, resid = _solve_stack(lengths, means, _sigmoid(qs), first_order)
+    return (resid[..., None, :] @ resid[..., :, None])[..., 0, 0]
 
 
 def _step_sign(value: float) -> float:

@@ -1,7 +1,8 @@
-"""What a fresh interpreter loads: `simulate` and `sweep` never import
-`scipy.optimize` (the fit polishes with `protocol._bounded_brent`), and
-`epsilon_min_search` imports it before its workers fork, so that they
-inherit it."""
+"""What a fresh interpreter loads: `import rblab` and the commands
+`simulate`, `sweep`, `theory`, `gauge-demo` and `counterexample` load no
+scipy module (the fit solves with numpy's `dgelsd` and polishes with
+`protocol._bounded_brent`), and `epsilon_min_search` imports
+`scipy.optimize` before its workers fork, so that they inherit it."""
 
 import json
 import subprocess
@@ -22,19 +23,33 @@ from rblab import gauge
 
 out = Path(sys.argv[2])
 rb = {"lengths": [1, 51, 101, 151], "k_per_length": 10}
-rblab.cli.run({
-    "command": "simulate",
-    "seed": 7,
-    "error_model": {"name": "depolarizing", "lambda": 0.99},
-    "rb": dict(rb, repeats=2),
-}, out / "simulate")
-rblab.cli.run({
-    "command": "sweep",
-    "seed": 5,
-    "rb": rb,
-    "sweep": {"parameter": "theta", "grid": [0.1, 0.2], "repeats": 2},
-}, out / "sweep")
-after_runs = "scipy.optimize" in sys.modules
+general = {"name": "general", "rotation_x": [0.001, 0.005, 0.1], "rotation_y": [0.004, 0.003, 0.1], "lambda": 1.0 - 5e-5}
+configs = {
+    "simulate": {
+        "command": "simulate",
+        "seed": 7,
+        "error_model": {"name": "depolarizing", "lambda": 0.99},
+        "rb": dict(rb, repeats=2),
+    },
+    "sweep": {
+        "command": "sweep",
+        "seed": 5,
+        "rb": rb,
+        "sweep": {"parameter": "theta", "grid": [0.1, 0.2], "repeats": 2},
+    },
+    "theory-general": {"command": "theory", "seed": 0, "error_model": general},
+    "theory-depolarizing": {"command": "theory", "seed": 0, "error_model": {"name": "depolarizing", "lambda": 0.99}},
+    "gauge-demo": {"command": "gauge-demo", "seed": 0, "error_model": {"name": "coherent_z", "theta": 0.1}},
+    "counterexample": {
+        "command": "counterexample",
+        "seed": 0,
+        "counterexample": {"lambda": 0.99, "alpha_grid": {"start": 0.9, "stop": 1.1, "num": 5}},
+    },
+}
+scipy_after = {}
+for name, config in configs.items():
+    rblab.cli.run(config, out / name)
+    scipy_after[name] = sorted(module for module in sys.modules if module.split(".")[0] == "scipy")
 
 at_fork = []
 fork_map = gauge._fork_map
@@ -47,7 +62,7 @@ def spy(func, items):
 
 gauge._fork_map = spy
 gauge.epsilon_min_search(rblab.build_gateset(rblab.GateIndependent.depolarizing(0.99)), restarts=2)
-print(json.dumps({"after_runs": after_runs, "at_fork": at_fork}))
+print(json.dumps({"scipy_after": scipy_after, "at_fork": at_fork}))
 """
 
 
@@ -58,4 +73,5 @@ def test_simulate_and_sweep_leave_scipy_optimize_unloaded(tmp_path):
     )
     loaded = json.loads(child.stdout.splitlines()[-1])
     assert (tmp_path / "simulate" / "rb_fit.json").exists() and (tmp_path / "sweep" / "sweep.csv").exists()
-    assert loaded == {"after_runs": False, "at_fork": [True]}
+    names = ["simulate", "sweep", "theory-general", "theory-depolarizing", "gauge-demo", "counterexample"]
+    assert loaded == {"scipy_after": dict.fromkeys(names, []), "at_fork": [True]}

@@ -348,7 +348,7 @@ def test_fit_recovers_first_order_coefficient():
 
 
 def _lstsq_solve_for_p(lengths, means, p, first_order):
-    """`protocol._linear_solve_for_p` through `np.linalg.lstsq`, as a reference."""
+    """One solve of `protocol._solve_stack` through `np.linalg.lstsq`, as a reference."""
     decay = p**lengths
     design = np.column_stack([np.ones_like(lengths), decay] + ([lengths * decay] if first_order else []))
     coeffs, *_ = np.linalg.lstsq(design, means, rcond=None)
@@ -362,15 +362,30 @@ def test_linear_solve_matches_lstsq(lengths, first_order):
     means = 0.5 + (0.45 + 1e-4 * ms) * 0.995**ms + 1e-3 * np.sin(ms)
     # p = 0, 1e-300 and 1 make the design rank-deficient: equal answers
     # there mean the same rank cut and the same minimum-norm solution
-    for p in (0.0, 1e-300, 0.9, 0.99, 0.995, 0.9999, 1.0):
-        coeffs, resid = protocol._linear_solve_for_p(ms, means, p, first_order)
-        expected_coeffs, expected_resid = _lstsq_solve_for_p(ms, means, p, first_order)
-        assert coeffs.shape == expected_coeffs.shape
-        assert np.all(np.abs(coeffs - expected_coeffs) <= 1e-12 * np.maximum(1.0, np.abs(expected_coeffs)))
-        assert np.all(np.abs(resid - expected_resid) <= 1e-12 * np.maximum(1.0, np.abs(expected_resid)))
+    ps = np.array([0.0, 1e-300, 0.9, 0.99, 0.995, 0.9999, 1.0])
+    stacked_coeffs, stacked_resid = protocol._solve_stack(ms, means, ps, first_order)
+    for i, p in enumerate(ps):
+        coeffs, resid = protocol._solve_stack(ms, means, float(p), first_order)
+        expected_coeffs, expected_resid = _lstsq_solve_for_p(ms, means, float(p), first_order)
+        assert coeffs.shape == expected_coeffs.shape and resid.shape == ms.shape
+        assert np.array_equal(coeffs, expected_coeffs) and np.array_equal(resid, expected_resid)
+        # each matrix of a stack solves as it does alone
+        assert np.array_equal(stacked_coeffs[i], coeffs) and np.array_equal(stacked_resid[i], resid)
     # at p = 1 the decay column equals the constant one: the minimum norm splits A + B evenly
-    coeffs, _ = protocol._linear_solve_for_p(ms, means, 1.0, first_order)
+    coeffs, _ = protocol._solve_stack(ms, means, 1.0, first_order)
     assert abs(coeffs[0] - coeffs[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("first_order", [False, True], ids=["zeroth", "first"])
+def test_stacked_costs_equal_each_solves_dot_product(first_order, coherent_gateset):
+    dataset = run_rb(coherent_gateset, RBConfig(lengths=range(1, 202, 10), k_per_length=20, seed=3))
+    lengths, means = np.asarray(dataset.lengths, dtype=float), dataset.means
+    # a `_scan_for_q` grid: the coarse one of stage 1 and a narrow one around its minimum
+    grid = np.concatenate([np.linspace(-9.0, 8.5, 61), np.linspace(6.17, 6.19, 25)])
+    costs = protocol._costs(lengths, means, grid, first_order)
+    for q, cost in zip(grid, costs):
+        _, resid = protocol._solve_stack(lengths, means, protocol._sigmoid(float(q)), first_order)
+        assert cost == float(resid @ resid) == float(protocol._costs(lengths, means, float(q), first_order))
 
 
 def _recorded(func):
@@ -391,7 +406,7 @@ def _sweep_cost(gateset):
     lengths, means = np.asarray(dataset.lengths, dtype=float), dataset.means
 
     def cost(q):
-        _, resid = protocol._linear_solve_for_p(lengths, means, protocol._sigmoid(q), False)
+        _, resid = protocol._solve_stack(lengths, means, protocol._sigmoid(q), False)
         return float(resid @ resid)
 
     return cost

@@ -18,8 +18,9 @@ The shapes (all four when none is named):
   (imports `rblab` and `rblab.cli`, builds the Clifford group, its
   compilation and the coherent_z theta = 0.1 gateset), then fits one
   `run_rb` of the `sweep` size on the seed. Its sha1 is that of the sorted
-  `scipy` modules the interpreter has loaded by then, so a change that
-  makes set-up or fitting import more of scipy changes it.
+  `scipy` modules the interpreter has loaded by then, and `scipy_modules`
+  counts them, so a change that makes set-up or fitting import any of
+  scipy changes both (rblab loads none: each child prints an empty line).
 
 Each case of a shape runs on seeds 0..N-1 twice: first as it runs by
 default (on the worker processes of `protocol._fork_map`), then with this
@@ -79,6 +80,7 @@ class Case:
     digest: Callable  # results of seeds 0..N-1 -> sha1 hex digest
     stages: dict  # stage -> Stage
     about: dict  # the case's size and workers, echoed into its result
+    tally: Callable = lambda results: {}  # results of the default pass -> more fields of its result
 
 
 def _sha1(chunks) -> str:
@@ -207,7 +209,10 @@ def startup() -> dict:
         "lengths": {"start": 1, "stop": 201, "step": 10},
         "k_per_length": 20,
     }
-    return {"fresh_interpreter": Case(call, lambda outputs: _sha1(out.encode() for out in outputs), {}, about)}
+    def tally(outputs) -> dict:
+        return {"scipy_modules": len({name for out in outputs for name in out.split()})}
+
+    return {"fresh_interpreter": Case(call, lambda outputs: _sha1(out.encode() for out in outputs), {}, about, tally)}
 
 
 SHAPES = {"kernel": kernel, "sweep": sweep, "gauge": gauge_search, "startup": startup}
@@ -267,6 +272,7 @@ def bench_case(case: Case, repeats: int) -> dict:
         "one_cpu_s": statistics.median(s for s, _, _ in pinned),
         "sha1": case.digest([r for _, r in default]),
         "one_cpu_sha1": case.digest([r for _, r, _ in pinned]),
+        **case.tally([r for _, r in default]),
     }
     for stage, s in case.stages.items():
         stage_s = [spent[stage] for _, _, spent in pinned]
