@@ -40,7 +40,7 @@ Config schema (unknown keys are rejected at every level)::
 Commands and their outputs:
 
 * simulate: rb_dataset.csv (m, p_mean, p_std_across_sequences, k) and
-  rb_fit.json (fit parameters, r_hat, r_std).
+  rb_fit.json (fit parameters, r_hat, r_std; null where not finite).
 * theory: theory_decay.csv (m, p_exact, p_predicted, bound_lo, bound_hi)
   and theory_summary.json (gamma, r_gamma, delta_diamond, eigenvalues).
 * sweep: sweep.csv (theta, r_hat, r_std, r_gamma, epsilon).
@@ -176,7 +176,7 @@ def _write_csv(path: Path, columns: list[str], rows: list[tuple], resolved: dict
 
 def _write_json(path: Path, payload: dict, resolved: dict) -> None:
     payload = {**payload, "seed": resolved["seed"], "config": resolved}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _rb_config(values: dict, repeats: int) -> protocol.RBConfig:
@@ -202,8 +202,8 @@ def _run_simulate(values: dict, resolved: dict, out_dir: Path) -> None:
         {
             "model": good[0].model if good else None,
             **{key: float(np.mean([getattr(f, key.lower()) for f in good])) if good else None for key in "ABCp"},
-            "r_hat": estimate.r_mean,
-            "r_std": estimate.r_std,
+            "r_hat": estimate.r_mean if np.isfinite(estimate.r_mean) else None,  # JSON has no NaN
+            "r_std": estimate.r_std if np.isfinite(estimate.r_std) else None,
             "flags": sorted({flag for fit in estimate.fits for flag in fit.flags}),
         },
         resolved,
@@ -211,11 +211,11 @@ def _run_simulate(values: dict, resolved: dict, out_dir: Path) -> None:
 
 
 def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
-    gateset = values["error_model"]
+    (analysis,) = values["theories"]
+    gateset = analysis.gateset
     lengths = values["theory.lengths"]
-    (l_map,), (gamma_result,) = values["l_maps"], values["gammas"]
     spectral, exact = theory.exact_decay(gateset, lengths=lengths)
-    predicted = theory.predicted_decay(gateset, lengths=lengths, l_map=l_map)
+    predicted = theory.predicted_decay(analysis, lengths=lengths)
     bound = theory.delta_diamond(gateset, seed=values["seed"])
     rows = [
         (m, pe, pp, pp - bound.delta_diamond, pp + bound.delta_diamond)
@@ -225,8 +225,8 @@ def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
     _write_json(
         out_dir / "theory_summary.json",
         {
-            "gamma": gamma_result.gamma,
-            "r_gamma": gamma_result.r_gamma,
+            "gamma": analysis.gamma.gamma,
+            "r_gamma": analysis.gamma.r_gamma,
             "delta_diamond": bound.delta_diamond,
             "eigenvalues": [[z.real, z.imag] for z in np.sort_complex(spectral.eigenvalues)],
         },
@@ -236,23 +236,23 @@ def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
 
 def _run_sweep(values: dict, resolved: dict, out_dir: Path) -> None:
     config = _rb_config(values, values["sweep.repeats"])
-    gatesets = values["sweep.gatesets"]
-    estimates = protocol.estimate_rs(gatesets, config, model=values["rb.fit_model"])
+    theories = values["theories"]
+    estimates = protocol.estimate_rs([t.gateset for t in theories], config, model=values["rb.fit_model"])
     rows = [
-        (theta, estimate.r_mean, estimate.r_std, gamma_result.r_gamma, gauge.agsi_of(gateset))
-        for theta, gateset, gamma_result, estimate in zip(values["sweep.grid"], gatesets, values["gammas"], estimates)
+        (theta, estimate.r_mean, estimate.r_std, analysis.gamma.r_gamma, gauge.agsi_of(analysis.gateset))
+        for theta, analysis, estimate in zip(values["sweep.grid"], theories, estimates)
     ]
     _write_csv(out_dir / "sweep.csv", ["theta", "r_hat", "r_std", "r_gamma", "epsilon"], rows, resolved)
 
 
 def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
-    gateset = values["error_model"]
+    (analysis,) = values["theories"]
+    gateset = analysis.gateset
     transform = gauge.GaugeTransform.random_tp(seed=values["seed"], scale=values["gauge.scale"])
     transformed = transform.transform_gateset(gateset)
     eps_before = gauge.agsi_of(gateset)
     eps_after, min_eig = gauge.infidelity_and_min_choi(transformed.imperfect, gateset.ideal.elements)
-    (l_map,), (gamma_result,) = values["l_maps"], values["gammas"]
-    wallman = gauge.wallman_gauge(gateset, seed=values["seed"], l_map=l_map, gamma_result=gamma_result)
+    wallman = gauge.wallman_gauge(analysis, seed=values["seed"])
     _write_json(
         out_dir / "gauge_report.json",
         {
@@ -372,12 +372,12 @@ def _parse(config) -> tuple[dict, list[str]]:
     """Parse a config into (the values the runners take, its problems).
 
     Values are keyed "section.key" (top-level keys bare), defaults filled
-    in; "error_model" holds the built gateset and, for a sweep,
-    "sweep.gatesets" the gateset of each theta. A command that computes
+    in; "error_model" holds the built gateset. A command that computes
     gamma (theory, gauge-demo, sweep) also needs its gatesets in the
-    small-error regime: "l_maps" holds the `L` map of each, in order, and
-    "gammas" its `GammaResult`. Every section present is checked, whatever
-    the command; the rules across keys once all parse.
+    small-error regime: "theories" holds the `theory.analyse` of each, in
+    order (the error model's, or one per sweep theta). Every section
+    present is checked, whatever the command; the rules across keys once
+    all parse.
     """
     if not isinstance(config, dict):
         return {}, ["config: must be a JSON object"]
@@ -403,16 +403,14 @@ def _parse(config) -> tuple[dict, list[str]]:
         values["theory.lengths"] = values["rb.lengths"]
     if values["sweep.repeats"] is None:
         values["sweep.repeats"] = values["rb.repeats"]
-    checked = {"error_model": values["error_model"]} if command in ("theory", "gauge-demo") else {}
+    checked = [("error_model", values["error_model"])] if command in ("theory", "gauge-demo") else []
     if command == "sweep":
         grid = values["sweep.grid"]
-        values["sweep.gatesets"] = [clifford.build_gateset(clifford.CoherentZ(float(theta))) for theta in grid]
-        checked = {f"sweep.grid: theta {t!r}": g for t, g in zip(grid, values["sweep.gatesets"])}
-    values["l_maps"] = [theory.build_l_map(gateset) for gateset in checked.values()]
-    values["gammas"] = []
-    for label, l_map in zip(checked, values["l_maps"]):
+        checked = [(f"sweep.grid: theta {t!r}", clifford.build_gateset(clifford.CoherentZ(float(t)))) for t in grid]
+    values["theories"] = []
+    for label, gateset in checked:
         try:
-            values["gammas"].append(theory.gamma_and_r_gamma(l_map))
+            values["theories"].append(theory.analyse(gateset))
         except ValueError as exc:
             problems.append(f"{label}: {exc}")
     if command in ("simulate", "sweep"):

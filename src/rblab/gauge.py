@@ -29,7 +29,7 @@ from .superop import (
     unvec,
     vec,
 )
-from .theory import GammaResult, build_l_map, gamma_and_r_gamma
+from .theory import GatesetTheory
 
 __all__ = [
     "GaugeTransform",
@@ -288,30 +288,22 @@ class WallmanGauge:
     residual: float
 
 
-def wallman_gauge(
-    gateset: GateSet,
-    seed: int = 0,
-    l_map: np.ndarray | None = None,
-    gamma_result: GammaResult | None = None,
-) -> WallmanGauge:
+def wallman_gauge(analysis: GatesetTheory, seed: int = 0) -> WallmanGauge:
     """Construct the channel L with avg_i[C~_i L C_i^{-1}] = L D_gamma and
     evaluate the gateset infidelity in the gauge it generates.
 
     vec(L) spans the numerical null space of (M' - D_gamma kron Id) with M'
-    the 16x16 matrix of E -> avg_i[C~_i E C_i^{-1}]: the matrix of
-    `build_l_map` with its entries permuted. When that space has dimension
+    the 16x16 matrix of E -> avg_i[C~_i E C_i^{-1}]: the analysed `L` map
+    with its entries permuted. When that space has dimension
     above one, the combination maximizing invertibility of L is
     selected by seeded random search. In this gauge the average error map is
     exactly depolarizing with parameter gamma, so the infidelity equals
     r_gamma; the transformed gates are generally not completely positive,
-    and the most negative Choi eigenvalue is reported. `l_map` is the
-    gateset's `build_l_map` and `gamma_result` its `gamma_and_r_gamma`, each
-    computed here when not given.
+    and the most negative Choi eigenvalue is reported.
     """
-    l_map = build_l_map(gateset) if l_map is None else l_map
-    l_primed = l_map.reshape(4, 4, 4, 4).transpose(3, 2, 1, 0).reshape(16, 16)
-    gamma_result = gamma_and_r_gamma(l_map) if gamma_result is None else gamma_result
-    gamma = gamma_result.gamma
+    gateset = analysis.gateset
+    l_primed = analysis.l_map.reshape(4, 4, 4, 4).transpose(3, 2, 1, 0).reshape(16, 16)
+    gamma = analysis.gamma.gamma
 
     system = l_primed - np.kron(depolarizing_channel(gamma).ptm, np.eye(4))
     u, s, vh = np.linalg.svd(system)
@@ -356,7 +348,7 @@ def wallman_gauge(
     return WallmanGauge(
         l_op=l_op,
         gamma=gamma,
-        r_gamma=gamma_result.r_gamma,
+        r_gamma=analysis.gamma.r_gamma,
         epsilon_in_gauge=eps,
         min_choi_eigenvalue=min_eig,
         null_space_dim=null_dim,

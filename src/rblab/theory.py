@@ -27,11 +27,13 @@ from .superop import diamond_bracket, vec, unvec
 __all__ = [
     "SpectralDecay",
     "GammaResult",
+    "GatesetTheory",
     "DeltaBound",
     "build_r_matrix",
     "exact_decay",
     "build_l_map",
     "gamma_and_r_gamma",
+    "analyse",
     "predicted_decay",
     "delta_diamond",
     "brute_force_pm",
@@ -192,23 +194,32 @@ def gamma_and_r_gamma(l_matrix: np.ndarray) -> GammaResult:
     )
 
 
-def predicted_decay(
-    gateset: GateSet,
-    spam: Spam | None = None,
-    lengths=(1,),
-    l_map: np.ndarray | None = None,
-) -> np.ndarray:
+@dataclass(frozen=True)
+class GatesetTheory:
+    """A gateset in the small-error regime with its 16x16 `L` map and the
+    map's subdominant eigenvalue; built by :func:`analyse`."""
+
+    gateset: GateSet
+    l_map: np.ndarray
+    gamma: GammaResult
+
+
+def analyse(gateset: GateSet) -> GatesetTheory:
+    """The `L` map and gamma of `gateset`, each computed once; raises the
+    ValueError of `gamma_and_r_gamma` outside the small-error regime."""
+    l_map = build_l_map(gateset)
+    return GatesetTheory(gateset, l_map, gamma_and_r_gamma(l_map))
+
+
+def predicted_decay(analysis: GatesetTheory, spam: Spam | None = None, lengths=(1,)) -> np.ndarray:
     """Approximate decay Tr(E Lbar [L^m(Id)](rho)) by iterated application
-    of the 16x16 map to the vectorized identity channel; `l_map` is the
-    gateset's `build_l_map`, built here when not given."""
+    of the analysed gateset's 16x16 map to the vectorized identity channel."""
     spam = spam if spam is not None else Spam.ideal()
     lengths = np.asarray([int(m) for m in np.atleast_1d(lengths)])
-    l_matrix = build_l_map(gateset) if l_map is None else l_map
-    lbar = average_error_map(gateset).ptm
+    lbar = average_error_map(analysis.gateset).ptm
     eff, rho = spam.effect.coeffs, spam.state.coeffs
-
-    values = [float(eff @ (lbar @ unvec(v) @ rho)) for v in _powers_applied(l_matrix, vec(np.eye(4)), lengths)]
-    return np.array(values, dtype=float)
+    powers = _powers_applied(analysis.l_map, vec(np.eye(4)), lengths)
+    return np.array([float(eff @ (lbar @ unvec(v) @ rho)) for v in powers], dtype=float)
 
 
 def delta_diamond(gateset: GateSet, seed: int = 0) -> DeltaBound:

@@ -17,6 +17,7 @@ from rblab import (
     Spam,
     agi,
     agsi_of,
+    analyse,
     build_gateset,
     build_l_map,
     brute_force_pm,
@@ -161,7 +162,7 @@ def test_criterion_6_bound_verification(random_gatesets):
     for index, gateset in enumerate(random_gatesets):
         bound = delta_diamond(gateset, seed=700 + index)
         _, exact = exact_decay(gateset, lengths=lengths)
-        predicted = predicted_decay(gateset, lengths=lengths)
+        predicted = predicted_decay(analyse(gateset), lengths=lengths)
         worst = float(np.max(np.abs(exact - predicted)))
         assert worst <= bound.delta_diamond, (
             f"model {index}: |exact - predicted| = {worst:.3e} > delta_diamond = {bound.delta_diamond:.3e}"
@@ -279,7 +280,7 @@ def test_criterion_10_wallman_gauge(
     worst_residual = 0.0
     worst_identity = 0.0
     for gateset in gatesets:
-        result = wallman_gauge(gateset)
+        result = wallman_gauge(analyse(gateset))
         worst_residual = max(worst_residual, result.residual)
         worst_identity = max(worst_identity, abs(result.epsilon_in_gauge - result.r_gamma))
         assert result.residual < 1e-8

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rblab.cli
+from rblab import CoherentZ, analyse, build_gateset
 from rblab.cli import main, run, validate
 
 
@@ -207,8 +208,12 @@ def test_simulate_perfect_gateset_flags_no_decay(tmp_path):
     assert main(["--config", str(path), "--out", str(out)]) == 0
     rows = (out / "rb_dataset.csv").read_text().splitlines()[2:]
     assert all(abs(float(row.split(",")[1]) - 1.0) < 1e-12 for row in rows)
-    fit = json.loads((out / "rb_fit.json").read_text())
-    assert "no-decay" in fit["flags"]
+    # strict JSON: NaN and the infinities are not numbers there, a fit with no decay has r_hat null
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    fit = json.loads((out / "rb_fit.json").read_text(), parse_constant=reject)
+    assert "no-decay" in fit["flags"] and fit["r_hat"] is None
 
 
 def test_theory_command_outputs(tmp_path):
@@ -234,6 +239,20 @@ def test_sweep_command_outputs(tmp_path):
     assert len(lines) == 4
     theta, r_hat, r_std, r_gamma, epsilon = (float(x) for x in lines[2].split(","))
     assert theta == 0.2 and epsilon > r_gamma
+
+
+def test_sweep_with_a_repeated_theta_writes_every_row(tmp_path):
+    grid = [0.1, 0.1, 0.2]
+    config = {
+        "command": "sweep",
+        "rb": {"lengths": [1, 11, 21, 31, 41], "k_per_length": 5},
+        "sweep": {"parameter": "theta", "grid": grid, "repeats": 2},
+    }
+    run(config, tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
+    assert [float(row[0]) for row in rows] == grid
+    for theta, row in zip(grid, rows):
+        assert float(row[3]) == analyse(build_gateset(CoherentZ(theta))).gamma.r_gamma, theta
 
 
 def _counting(monkeypatch, module, name):
@@ -264,13 +283,23 @@ def test_main_parses_the_config_once(tmp_path, monkeypatch, config, gatesets):
 def test_main_builds_each_checked_l_map_once(tmp_path, monkeypatch, config, gatesets):
     # the small-error check and the runner share one L map per gateset
     l_maps = _counting(monkeypatch, rblab.cli.theory, "build_l_map")
-    monkeypatch.setattr(rblab.gauge, "build_l_map", rblab.cli.theory.build_l_map)  # wallman_gauge's binding
     path = _write_config(tmp_path, config)
     assert main(["--config", str(path), "--out", str(tmp_path / "main")]) == 0
     assert len(l_maps) == gatesets
     # run makes the same check on the same L maps
     run(config, tmp_path / "run")
     assert len(l_maps) == 2 * gatesets
+
+
+@pytest.mark.parametrize(
+    "config, gatesets", [(THEORY_CONFIG, 1), (BASE_SWEEP, 2), (BASE_GAUGE, 1)], ids=["theory", "sweep", "gauge-demo"]
+)
+def test_main_analyses_each_gateset_once(tmp_path, monkeypatch, config, gatesets):
+    # validation and the run share one theory object per gateset
+    analyses = _counting(monkeypatch, rblab.cli.theory, "analyse")
+    path = _write_config(tmp_path, config)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(analyses) == gatesets
 
 
 def test_theory_run_builds_one_l_map(tmp_path, monkeypatch):

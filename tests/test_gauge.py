@@ -10,6 +10,7 @@ from rblab import (
     agi,
     agsi,
     agsi_of,
+    analyse,
     build_l_map,
     choi_eigenvalues,
     counterexample_epsilon_min,
@@ -218,14 +219,6 @@ def test_epsilon_min_search_in_a_daemonic_process(perfect_gateset):
     assert _same_search(result, epsilon_min_search(perfect_gateset, restarts=2, seed=3))
 
 
-def test_wallman_gauge_takes_the_parsed_gamma(coherent_gateset):
-    l_map = build_l_map(coherent_gateset)
-    given = wallman_gauge(coherent_gateset, seed=4, l_map=l_map, gamma_result=gamma_and_r_gamma(l_map))
-    built = wallman_gauge(coherent_gateset, seed=4)
-    assert (given.gamma, given.r_gamma, given.epsilon_in_gauge) == (built.gamma, built.r_gamma, built.epsilon_in_gauge)
-    assert np.array_equal(given.l_op.ptm, built.l_op.ptm)
-
-
 def test_wallman_gauge_gate_independent(depolarizing_gateset, reference_primed_l_map):
     lam = 0.99
     # the error channel itself solves the defining equation
@@ -236,7 +229,7 @@ def test_wallman_gauge_gate_independent(depolarizing_gateset, reference_primed_l
     residual = unvec(l_primed @ vec(candidate)) - candidate @ depolarizing_channel(lam).ptm
     assert np.max(np.abs(residual)) < 1e-12
 
-    result = wallman_gauge(depolarizing_gateset)
+    result = wallman_gauge(analyse(depolarizing_gateset))
     assert result.residual < 1e-8
     assert abs(result.gamma - lam) < 1e-10
     assert abs(result.epsilon_in_gauge - result.r_gamma) < 1e-8
@@ -245,7 +238,7 @@ def test_wallman_gauge_gate_independent(depolarizing_gateset, reference_primed_l
 
 def test_wallman_gauge_epsilon_equals_r_gamma(coherent_gateset, general_gateset, random_gatesets):
     for gateset in [coherent_gateset, general_gateset, *random_gatesets[:2]]:
-        result = wallman_gauge(gateset)
+        result = wallman_gauge(analyse(gateset))
         assert result.residual < 1e-8
         assert abs(result.epsilon_in_gauge - result.r_gamma) < 1e-8
         expected = gamma_and_r_gamma(build_l_map(gateset)).r_gamma
@@ -253,7 +246,7 @@ def test_wallman_gauge_epsilon_equals_r_gamma(coherent_gateset, general_gateset,
 
 
 def test_wallman_gauge_reports_cp_violation(coherent_gateset):
-    result = wallman_gauge(coherent_gateset)
+    result = wallman_gauge(analyse(coherent_gateset))
     assert np.isfinite(result.min_choi_eigenvalue)
     # for purely coherent errors this representation is not completely positive
     assert result.min_choi_eigenvalue < 0.0

@@ -347,11 +347,15 @@ def test_fit_recovers_first_order_coefficient():
     assert abs(fit.p - 0.95) < 1e-6
 
 
-def _lstsq_solve_for_p(lengths, means, p, first_order):
-    """One solve of `protocol._solve_stack` through `np.linalg.lstsq`, as a reference."""
+def _design(lengths, p, first_order):
     decay = p**lengths
-    design = np.column_stack([np.ones_like(lengths), decay] + ([lengths * decay] if first_order else []))
-    coeffs, *_ = np.linalg.lstsq(design, means, rcond=None)
+    return np.column_stack([np.ones_like(lengths), decay] + ([lengths * decay] if first_order else []))
+
+
+def _lstsq_solve_for_p(lengths, means, p, first_order, rcond=None):
+    """One solve of `protocol._solve_stack` through `np.linalg.lstsq`, as a reference."""
+    design = _design(lengths, p, first_order)
+    coeffs, *_ = np.linalg.lstsq(design, means, rcond=rcond)
     return coeffs, design @ coeffs - means
 
 
@@ -362,7 +366,8 @@ def test_linear_solve_matches_lstsq(lengths, first_order):
     means = 0.5 + (0.45 + 1e-4 * ms) * 0.995**ms + 1e-3 * np.sin(ms)
     # p = 0, 1e-300 and 1 make the design rank-deficient: equal answers
     # there mean the same rank cut and the same minimum-norm solution
-    ps = np.array([0.0, 1e-300, 0.9, 0.99, 0.995, 0.9999, 1.0])
+    near = 1 - 1e-6 if first_order else 1 - 1e-13  # near-collinear, see below
+    ps = np.array([0.0, 1e-300, 0.9, 0.99, 0.995, 0.9999, 1.0, near])
     stacked_coeffs, stacked_resid = protocol._solve_stack(ms, means, ps, first_order)
     for i, p in enumerate(ps):
         coeffs, resid = protocol._solve_stack(ms, means, float(p), first_order)
@@ -374,6 +379,13 @@ def test_linear_solve_matches_lstsq(lengths, first_order):
     # at p = 1 the decay column equals the constant one: the minimum norm splits A + B evenly
     coeffs, _ = protocol._solve_stack(ms, means, 1.0, first_order)
     assert abs(coeffs[0] - coeffs[1]) <= 1e-12
+    # near p = 1 the singular values span a ratio between lstsq's cutoff,
+    # max(rows, cols) * eps, and 1e-10: the solve above keeps the smallest
+    # one, and a cutoff of 1e-10 would drop it and give other amplitudes
+    singular = np.linalg.svd(_design(ms, near, first_order), compute_uv=False)
+    assert len(ms) * np.finfo(float).eps < singular[-1] / singular[0] < 1e-10
+    coeffs, _ = protocol._solve_stack(ms, means, near, first_order)
+    assert not np.array_equal(coeffs, _lstsq_solve_for_p(ms, means, near, first_order, rcond=1e-10)[0])
 
 
 @pytest.mark.parametrize("first_order", [False, True], ids=["zeroth", "first"])

@@ -16,6 +16,7 @@ from rblab import (
     is_cp,
     is_tp,
     rotation_channel,
+    to_choi,
 )
 from rblab.superop import PAULI_BASIS, PTM_TO_CHOI, unvec, vec
 
@@ -126,14 +127,20 @@ def test_choi_of_identity_and_depolarizing():
     assert np.allclose(choi_eigenvalues(IDENTITY), [0.0, 0.0, 0.0, 2.0], atol=1e-12)
     assert choi_eigenvalues(depolarizing_channel(0.99)).min() >= -1e-12
     # trace of the Choi matrix equals d for TP maps
-    from rblab import to_choi
-
     for ch in (IDENTITY, depolarizing_channel(0.7), rotation_channel(Y_AXIS, 0.4)):
         assert abs(np.trace(to_choi(ch)) - 2.0) < 1e-12
 
 
 def test_ptm_to_choi_matches_matrix_unit_construction(reference_ptm_to_choi):
     assert np.array_equal(PTM_TO_CHOI, reference_ptm_to_choi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ptm=arrays(np.float64, (4, 4), elements=st.floats(-1.0, 1.0)), scale=st.sampled_from([1e-8, 1.0, 1e8]))
+def test_choi_of_a_real_ptm_is_exactly_hermitian(ptm, scale):
+    # choi_eigenvalues hands it to eigvalsh unchecked
+    choi = to_choi(Superoperator(scale * ptm))
+    assert np.array_equal(choi, choi.conj().T)
 
 
 def test_cp_tp_predicates():

@@ -4,7 +4,10 @@ import pytest
 import rblab.theory
 from rblab import (
     CoherentZ,
+    GammaResult,
+    GatesetTheory,
     Spam,
+    analyse,
     build_gateset,
     build_l_map,
     build_r_matrix,
@@ -127,14 +130,17 @@ def test_gamma_scaling_with_theta(group, table):
 
 
 def test_predicted_decay_perfect(perfect_gateset):
-    values = predicted_decay(perfect_gateset, lengths=[1, 2, 51])
+    # `analyse` rejects the perfect gateset (its unit eigenvalue is degenerate);
+    # the formula still holds at the limit gamma = 1
+    analysis = GatesetTheory(perfect_gateset, build_l_map(perfect_gateset), GammaResult(gamma=1.0, r_gamma=0.0))
+    values = predicted_decay(analysis, lengths=[1, 2, 51])
     assert np.allclose(values, 1.0, atol=1e-12)
 
 
 def test_predicted_equals_exact_for_gate_independent(depolarizing_gateset):
     lengths = [1, 2, 51, 101, 501]
     _, exact = exact_decay(depolarizing_gateset, lengths=lengths)
-    predicted = predicted_decay(depolarizing_gateset, lengths=lengths)
+    predicted = predicted_decay(analyse(depolarizing_gateset), lengths=lengths)
     assert np.max(np.abs(exact - predicted)) < 1e-12
 
 
@@ -150,7 +156,7 @@ def test_delta_diamond_bounds_model_error(coherent_gateset):
     assert abs(bound.delta_diamond - bound.per_gate_distances.mean() / 2.0) < 1e-15
     lengths = [1, 2, 51, 101, 501, 1001]
     _, exact = exact_decay(coherent_gateset, lengths=lengths)
-    predicted = predicted_decay(coherent_gateset, lengths=lengths)
+    predicted = predicted_decay(analyse(coherent_gateset), lengths=lengths)
     assert np.max(np.abs(exact - predicted)) <= bound.delta_diamond
     # desk-scale consistency triangle at m = 1, 2
     for m, ex, pred in zip(lengths[:2], exact[:2], predicted[:2]):
