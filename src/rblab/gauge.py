@@ -23,6 +23,7 @@ from .superop import (
     Effect,
     State,
     Superoperator,
+    _nelder_mead,
     agi,
     choi_eigenvalues,
     depolarizing_channel,
@@ -211,23 +212,27 @@ def _objective(params: np.ndarray, tilde: np.ndarray, ideal_inv: np.ndarray) -> 
     return eps + _CP_PENALTY * violation * violation
 
 
-def _restart(minimize, tilde: np.ndarray, ideal_inv: np.ndarray, seed: int, index: int):
-    """One Nelder-Mead run of the search by `minimize` (scipy's), from the
+def _restart(tilde: np.ndarray, ideal_inv: np.ndarray, seed: int, index: int):
+    """One Nelder-Mead run of the search (`superop._nelder_mead`), from the
     identity for index 0 and from a random start drawn from the stream of
-    (seed, index) otherwise: its end point and `_evaluate` there. It calls
-    no other rblab function (the Choi spectrum is computed inline), so
-    running it in a worker process hides no call from a tracer in the
-    parent."""
+    (seed, index) otherwise: its end point and `_evaluate` there. The
+    initial simplex is scipy's default around the start: each coordinate
+    in turn scaled by 1.05, or set to 0.00025 where it is 0. It calls no
+    other rblab function (the Choi spectrum is computed inline), so running
+    it in a worker process hides no call from a tracer in the parent."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     start = np.zeros(12) if index == 0 else 0.02 * rng.standard_normal(12)
-    res = minimize(
-        _objective,
-        start,
-        args=(tilde, ideal_inv),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 6000},
+    nudged = np.where(start != 0, 1.05 * start, 0.00025)
+    simplex = np.vstack([start, np.where(np.eye(12, dtype=bool), nudged, start)])
+    x, _, _ = _nelder_mead(
+        lambda params: _objective(params, tilde, ideal_inv),
+        simplex,
+        xatol=1e-10,
+        fatol=1e-14,
+        maxfev=6000,
+        maxiter=4000,
     )
-    return res.x.copy(), _evaluate(res.x, tilde, ideal_inv)
+    return x, _evaluate(x, tilde, ideal_inv)
 
 
 def epsilon_min_search(
@@ -246,16 +251,12 @@ def epsilon_min_search(
     `protocol._fork_map`'s worker processes; the incumbent then walks them
     in index order, so the result does not depend on the worker count.
     """
-    # imported on first use, so that fitting never loads it, and here, before
-    # the workers fork, so that they inherit it rather than import it again
-    from scipy.optimize import minimize
-
     tilde = gateset.imperfect_stack()
     ideal_inv = np.stack([np.linalg.inv(e.ptm) for e in gateset.ideal.elements])
 
     best_params = np.zeros(12)
     best_eps, best_min_eig = _evaluate(best_params, tilde, ideal_inv)
-    for params, evaluated in _fork_map(partial(_restart, minimize, tilde, ideal_inv, seed), range(restarts)):
+    for params, evaluated in _fork_map(partial(_restart, tilde, ideal_inv, seed), range(restarts)):
         if evaluated is None:
             continue
         eps, min_eig = evaluated

@@ -274,10 +274,10 @@ def diamond_bracket(a: Superoperator, b: Superoperator, seed: int = 0) -> tuple[
     dual suggests, psi = (K (x) I) sum_i |ii> with K = sqrt(rho) and
     rho = Tr_out |J| / Tr |J| on the Choi matrix's input factor. Only when
     the two ends differ by more than 1e-12 max(1, upper) does a seeded local
-    polish raise the lower end from that state: a Nelder-Mead search over
-    the Bloch ball whose initial simplex is drawn from `seed`. The two ends
-    meet on unital differences near the identity, such as the error maps of
-    the gatesets studied here.
+    polish raise the lower end from that state: a Nelder-Mead search
+    (`_nelder_mead`) over the Bloch ball whose initial simplex is drawn from
+    `seed`. The two ends meet on unital differences near the identity, such
+    as the error maps of the gatesets studied here.
     """
     delta = Superoperator(a.ptm - b.ptm)
     if np.max(np.abs(delta.ptm)) < 1e-15:
@@ -292,18 +292,91 @@ def diamond_bracket(a: Superoperator, b: Superoperator, seed: int = 0) -> tuple[
     start = bloch * (np.arcsin(min(norm, 1.0)) / norm if norm > 0 else 1.0)
     lower = _input_value(choi, start)
     if upper - lower > 1e-12 * max(1.0, upper):
-        from scipy import optimize  # at first use, so that importing rblab does not load it
-
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         simplex = np.vstack([start, start + 0.1 * rng.standard_normal((3, 3))])
-        res = optimize.minimize(
-            lambda x: -_input_value(choi, x),
-            start,
-            method="Nelder-Mead",
-            options={"initial_simplex": simplex, "xatol": 1e-10, "fatol": 1e-15, "maxfev": 2000},
-        )
-        lower = max(lower, -float(res.fun))
+        _, fun, _ = _nelder_mead(lambda x: -_input_value(choi, x), simplex, xatol=1e-10, fatol=1e-15, maxfev=2000)
+        lower = max(lower, -float(fun))
     return lower, upper
+
+
+class _EvaluationCap(Exception):
+    """Raised by `_nelder_mead`'s counted objective once `maxfev` calls are spent."""
+
+
+def _sort_vertices(sim: np.ndarray, fsim: np.ndarray):
+    order = np.argsort(fsim)
+    return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+
+def _nelder_mead(func, simplex, *, xatol: float, fatol: float, maxfev: int, maxiter: float = np.inf):
+    """Minimize `func` by the Nelder-Mead simplex method (Nelder & Mead,
+    Comput. J. 7 (1965) 308) from the (N + 1, N) array `simplex`: the best
+    vertex, its value and the number of calls of `func`.
+
+    A step-for-step port of scipy's `_minimize_neldermead` (BSD-3, the
+    SciPy developers) on the path of `minimize(func, x0,
+    method="Nelder-Mead", options={"initial_simplex": simplex, "xatol":
+    xatol, "fatol": fatol, "maxfev": maxfev, "maxiter": maxiter})` with no
+    bounds, `adaptive` or callback: its coefficients (reflection 2,
+    expansion 3/-2, contractions 1.5/-0.5 and 0.5/0.5, shrink 0.5), its
+    centroid, its re-sort after every iteration and its cap on calls, which
+    can end an iteration part-way. So it calls `func` at the same points
+    (each a fresh copy, as scipy passes) and returns the same bits, and
+    rblab needs no `scipy.optimize`.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    evaluations = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal evaluations
+        if evaluations >= maxfev:
+            raise _EvaluationCap
+        evaluations += 1
+        return func(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvaluationCap:
+        pass
+    # sorted twice, as scipy does, so that tied values end in its order
+    sim, fsim = _sort_vertices(*_sort_vertices(sim, fsim))
+    iterations = 1
+    while evaluations < maxfev and iterations < maxiter:
+        try:
+            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # contract inside
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _EvaluationCap:
+            pass
+        sim, fsim = _sort_vertices(sim, fsim)
+    return sim[0], np.min(fsim), evaluations
 
 
 def diamond_distance(a: Superoperator, b: Superoperator, seed: int = 0) -> float:

@@ -1,8 +1,9 @@
-"""What a fresh interpreter loads: `import rblab` and the commands
-`simulate`, `sweep`, `theory`, `gauge-demo` and `counterexample` load no
-scipy module (the fit solves with numpy's `dgelsd` and polishes with
-`protocol._bounded_brent`), and `epsilon_min_search` imports
-`scipy.optimize` before its workers fork, so that they inherit it."""
+"""rblab runs without scipy: a fresh interpreter in which `import scipy`
+fails imports `rblab` and `rblab.cli`, runs every command, the gauge search
+`epsilon_min_search` on its worker processes and a diamond bracket that
+polishes, and loads no scipy module. The fit solves with numpy's `dgelsd`
+and polishes with `protocol._bounded_brent`; both Nelder-Mead searches run
+`superop._nelder_mead`."""
 
 import json
 import subprocess
@@ -16,10 +17,18 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
 sys.path.insert(0, sys.argv[1])
 import rblab
 import rblab.cli
 from rblab import gauge
+
+
+def loaded():
+    return sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "scipy" and module is not None)
+
 
 out = Path(sys.argv[2])
 rb = {"lengths": [1, 51, 101, 151], "k_per_length": 10}
@@ -46,32 +55,36 @@ configs = {
         "counterexample": {"lambda": 0.99, "alpha_grid": {"start": 0.9, "stop": 1.1, "num": 5}},
     },
 }
-scipy_after = {}
+scipy_after = {"import": loaded()}
 for name, config in configs.items():
     rblab.cli.run(config, out / name)
-    scipy_after[name] = sorted(module for module in sys.modules if module.split(".")[0] == "scipy")
+    scipy_after[name] = loaded()
 
-at_fork = []
-fork_map = gauge._fork_map
-
-
-def spy(func, items):
-    at_fork.append("scipy.optimize" in sys.modules)
-    return fork_map(func, items)
-
-
-gauge._fork_map = spy
 gauge.epsilon_min_search(rblab.build_gateset(rblab.GateIndependent.depolarizing(0.99)), restarts=2)
-print(json.dumps({"scipy_after": scipy_after, "at_fork": at_fork}))
+scipy_after["epsilon_min_search"] = loaded()
+damping = rblab.Superoperator([[1, 0, 0, 0], [0, 0.7**0.5, 0, 0], [0, 0, 0.7**0.5, 0], [0.3, 0, 0, 0.7]])
+lower, upper = rblab.diamond_bracket(damping, rblab.Superoperator(np.eye(4)))
+scipy_after["diamond_bracket"] = loaded()
+print(json.dumps({"scipy_after": scipy_after, "polished": upper - lower > 1e-3}))
 """
 
 
-def test_simulate_and_sweep_leave_scipy_optimize_unloaded(tmp_path):
+def test_rblab_runs_with_scipy_blocked(tmp_path):
     src = str(Path(rblab.__file__).resolve().parent.parent)
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, src, str(tmp_path)], capture_output=True, text=True, check=True
     )
     loaded = json.loads(child.stdout.splitlines()[-1])
     assert (tmp_path / "simulate" / "rb_fit.json").exists() and (tmp_path / "sweep" / "sweep.csv").exists()
-    names = ["simulate", "sweep", "theory-general", "theory-depolarizing", "gauge-demo", "counterexample"]
-    assert loaded == {"scipy_after": dict.fromkeys(names, []), "at_fork": [True]}
+    names = [
+        "import",
+        "simulate",
+        "sweep",
+        "theory-general",
+        "theory-depolarizing",
+        "gauge-demo",
+        "counterexample",
+        "epsilon_min_search",
+        "diamond_bracket",
+    ]
+    assert loaded == {"scipy_after": dict.fromkeys(names, []), "polished": True}

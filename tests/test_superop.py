@@ -6,9 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 from rblab import (
     Effect,
+    GateIndependent,
     State,
     Superoperator,
     agi,
+    build_gateset,
     choi_eigenvalues,
     depolarizing_channel,
     diamond_bracket,
@@ -18,6 +20,8 @@ from rblab import (
     rotation_channel,
     to_choi,
 )
+from rblab import gauge, superop
+from rblab.clifford import GeneralPrimitive
 from rblab.superop import PAULI_BASIS, PTM_TO_CHOI, unvec, vec
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -318,24 +322,88 @@ def test_diamond_measurement_bound():
         assert lhs <= diamond_distance(a, b, seed=trial) + 1e-6
 
 
-def test_diamond_bracket_polishes_amplitude_damping(monkeypatch):
-    gamma = 0.3
-    damping = Superoperator(
+def _amplitude_damping(gamma: float) -> Superoperator:
+    return Superoperator(
         [[1, 0, 0, 0], [0, np.sqrt(1 - gamma), 0, 0], [0, 0, np.sqrt(1 - gamma), 0], [gamma, 0, 0, 1 - gamma]]
     )
-    searches = []
-    minimize = scipy.optimize.minimize
 
-    def spy(*args, **kwargs):
-        searches.append(args)
-        return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+def _spy_on_nelder_mead(monkeypatch, owner) -> list:
+    """Wrap `owner._nelder_mead`; each call appends (func, simplex, options,
+    result) to the returned list."""
+    runs = []
+    port = owner._nelder_mead
+
+    def spy(func, simplex, **options):
+        result = port(func, simplex, **options)
+        runs.append((func, simplex, options, result))
+        return result
+
+    monkeypatch.setattr(owner, "_nelder_mead", spy)
+    return runs
+
+
+def test_diamond_bracket_polishes_amplitude_damping(monkeypatch):
+    damping = _amplitude_damping(0.3)
+    searches = _spy_on_nelder_mead(monkeypatch, superop)
     lower, upper = diamond_bracket(damping, IDENTITY)
     assert len(searches) == 1, "a non-unital difference should take the polish path"
     oracle = _grid_oracle_diamond(damping, IDENTITY)
     assert abs(lower - oracle) < 1e-4
     assert upper >= oracle - 1e-12
+
+
+# gauge-search restarts: (model, restart index)
+_GAUGE_RESTARTS = {
+    "gauge-tolerance": (GateIndependent.depolarizing(0.98), 1),
+    "gauge-maxiter": (GateIndependent.depolarizing(0.99), 0),
+    "gauge-maxfev": (GeneralPrimitive.from_error_vectors((0.001, 0.005, 0.1), (0.004, 0.003, 0.1), 1.0 - 5e-5), 2),
+}
+# how each run ends, as scipy reports it: 0 by tolerance, 2 at maxiter, 1 at maxfev
+_STATUS = {"gauge-tolerance": 0, "gauge-maxiter": 2, "gauge-maxfev": 1, "amplitude-damping-polish": 0}
+
+
+@pytest.mark.parametrize("name", _STATUS)
+def test_nelder_mead_equals_scipy(name, monkeypatch):
+    """The port returns scipy's x, value and evaluation count bit for bit: on
+    the gauge search's restarts, from scipy's default simplex around their
+    start, and on the diamond polish, from its seeded simplex."""
+    if name in _GAUGE_RESTARTS:
+        model, index = _GAUGE_RESTARTS[name]
+        gateset = build_gateset(model)
+        ideal_inv = np.stack([np.linalg.inv(e.ptm) for e in gateset.ideal.elements])
+        runs = _spy_on_nelder_mead(monkeypatch, gauge)
+        gauge._restart(gateset.imperfect_stack(), ideal_inv, 0, index)
+    else:
+        runs = _spy_on_nelder_mead(monkeypatch, superop)
+        diamond_bracket(_amplitude_damping(0.3), IDENTITY)
+    [(func, simplex, options, (x, fun, evaluations))] = runs
+    if name not in _GAUGE_RESTARTS:
+        options = {**options, "initial_simplex": simplex}
+    res = scipy.optimize.minimize(func, simplex[0], method="Nelder-Mead", options=options)
+    assert np.array_equal(x, res.x)
+    assert fun == res.fun
+    assert evaluations == res.nfev
+    assert res.status == _STATUS[name]
+
+
+def _rosenbrock(x) -> float:
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+
+@pytest.mark.parametrize("func", [_rosenbrock, lambda x: float(np.floor(4.0 * _rosenbrock(x)))], ids=["smooth", "steps"])
+def test_nelder_mead_equals_scipy_at_every_cap(func):
+    """Every cap on calls from 1 to 199, so that runs end during the first
+    evaluations and part-way through reflections, contractions and shrinks;
+    the step function ties vertex values."""
+    simplex = np.array([[-1.2, 1.0], [-1.0, 1.0], [-1.2, 1.2]])
+    for maxfev in range(1, 200):
+        x, fun, evaluations = superop._nelder_mead(func, simplex, xatol=1e-8, fatol=1e-8, maxfev=maxfev)
+        options = {"initial_simplex": simplex, "xatol": 1e-8, "fatol": 1e-8, "maxfev": maxfev}
+        res = scipy.optimize.minimize(func, simplex[0], method="Nelder-Mead", options=options)
+        assert np.array_equal(x, res.x), maxfev
+        assert fun == res.fun, maxfev
+        assert evaluations == res.nfev, maxfev
 
 
 def _channel_from_kraus(kraus) -> Superoperator:

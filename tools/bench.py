@@ -29,8 +29,9 @@ functions of the shape's stages wrapped (in a worker, a wrapper set here
 would read nothing). The pinned pass times each stage and counts its work:
 the kernel's inversion fold (folded indices) and survival step (gate
 applications), the sweep's fits and simulation, and the gauge search's
-Nelder-Mead runs (objective evaluations, their `nfev`); the startup shape
-has no stage, since its work runs in the child. Reported per case:
+Nelder-Mead runs (objective evaluations, the count `_nelder_mead`
+returns); the startup shape has no stage, since its work runs in the
+child. Reported per case:
 the median seconds of each pass and of each stage, each stage's work over
 the pass and its rate over the stage's seconds, and a sha1 of each pass's
 results. The run exits 1 when the two sha1s of any case differ. With
@@ -55,7 +56,6 @@ from time import perf_counter
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 import rblab
 from rblab import CoherentZ, GateIndependent, RBConfig, build_gateset, gauge, protocol
@@ -170,7 +170,7 @@ def _gauge_sha1(results) -> str:
 def gauge_search() -> dict:
     lam = 0.99
     gateset = build_gateset(GateIndependent.depolarizing(lam))
-    stages = {"minimize": Stage(scipy.optimize, "minimize", "evaluations", lambda res, *args: int(res.nfev))}
+    stages = {"nelder_mead": Stage(gauge, "_nelder_mead", "evaluations", lambda res, *args: res[2])}
 
     def case(restarts: int) -> Case:
         def call(seed: int):
