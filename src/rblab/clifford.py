@@ -11,7 +11,7 @@ the state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -70,21 +70,26 @@ class CliffordGroup:
     """The group as exact PTMs plus composition and inverse tables.
 
     cayley[i, j] is the index of elements[i] composed after elements[j]
-    (PTM product elements[i] @ elements[j]).
+    (PTM product elements[i] @ elements[j]); words[i] is its shortest
+    {Gx, Gy} word. ptms, the (|C|, 4, 4) stack of the element PTMs, is
+    derived from `elements`, and ptms[inverse] stacks their exact inverses.
     """
 
     elements: tuple[Superoperator, ...]
     cayley: np.ndarray
     inverse: np.ndarray
     identity_index: int
+    words: tuple[tuple[str, ...], ...]
+    ptms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cayley = np.array(self.cayley, dtype=np.intp)
-        inverse = np.array(self.inverse, dtype=np.intp)
-        cayley.setflags(write=False)
-        inverse.setflags(write=False)
-        object.__setattr__(self, "cayley", cayley)
-        object.__setattr__(self, "inverse", inverse)
+        for name, table in (
+            ("cayley", np.array(self.cayley, dtype=np.intp)),
+            ("inverse", np.array(self.inverse, dtype=np.intp)),
+            ("ptms", np.stack([e.ptm for e in self.elements])),
+        ):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -94,31 +99,25 @@ class CliffordGroup:
 def generate_clifford_group() -> CliffordGroup:
     """Close {R(x, pi/2), R(y, pi/2)} under composition into the full group.
 
-    Breadth-first closure discovers exactly 24 distinct PTMs; the identity is
-    element 0.
+    Breadth-first closure discovers exactly 24 distinct PTMs, each with its
+    shortest word; the identity is element 0.
     """
-    elements = [ptm for ptm, _ in _closure(ideal_primitives())]
+    elements, words = zip(*_closure(ideal_primitives()))
     if len(elements) != 24:
         raise RuntimeError(f"Clifford closure produced {len(elements)} elements, expected 24")
 
     index_of = {_key(e): i for i, e in enumerate(elements)}
-    size = len(elements)
-    cayley = np.empty((size, size), dtype=np.intp)
-    for i in range(size):
-        for j in range(size):
-            cayley[i, j] = index_of[_key(elements[i] @ elements[j])]
-    inverse = np.empty(size, dtype=np.intp)
-    for i in range(size):
-        matches = np.flatnonzero(cayley[i] == 0)
-        if matches.size != 1:
-            raise RuntimeError("group inverse is not unique")
-        inverse[i] = matches[0]
+    cayley = np.array([[index_of[_key(a @ b)] for b in elements] for a in elements], dtype=np.intp)
+    identities = cayley == 0
+    if np.any(identities.sum(axis=1) != 1):
+        raise RuntimeError("group inverse is not unique")
 
     return CliffordGroup(
         elements=tuple(Superoperator(e) for e in elements),
         cayley=cayley,
-        inverse=inverse,
+        inverse=identities.argmax(axis=1),
         identity_index=0,
+        words=words,
     )
 
 
@@ -145,31 +144,10 @@ def _closure(prims: dict[str, Superoperator]):
 
 
 def compile_cliffords(group: CliffordGroup) -> tuple[tuple[str, ...], ...]:
-    """Shortest {Gx, Gy} word for every Clifford by breadth-first search,
-    indexed like the group's elements.
-
-    Ties are broken lexicographically with Gx < Gy; the identity gets the
-    empty word (simulations skip straight to the next gate). Each word's
-    recomposition is checked against the target PTM.
-    """
-    prims = ideal_primitives()
-    target_index = {_key(e.ptm): i for i, e in enumerate(group.elements)}
-
-    words: dict[int, tuple[str, ...]] = {}
-    for ptm, word in _closure(prims):
-        idx = target_index.get(_key(ptm))
-        if idx is None:
-            raise RuntimeError("BFS reached a PTM outside the group")
-        words[idx] = word
-    if len(words) != len(group.elements):
-        raise RuntimeError("compilation search did not reach every Clifford")
-
-    table = tuple(words[i] for i in range(len(group.elements)))
-    for i, word in enumerate(table):
-        rebuilt = _product_along_word(prims, word)
-        if not np.array_equal(rebuilt, group.elements[i].ptm):
-            raise RuntimeError(f"word for Clifford {i} does not recompose to its PTM")
-    return table
+    """Shortest {Gx, Gy} word of every Clifford, indexed like the group's
+    elements: `group.words`, from its closure. Ties are broken with Gx < Gy;
+    the identity's word is empty (simulations skip straight to the next gate)."""
+    return group.words
 
 
 def _product_along_word(prims: dict[str, Superoperator], word: tuple[str, ...]) -> np.ndarray:
@@ -290,13 +268,13 @@ def build_gateset(
     compilation: tuple[tuple[str, ...], ...] | None = None,
 ) -> GateSet:
     """Assemble the imperfect gateset for an error model, compiling each
-    Clifford along its word in `compilation` (see :func:`compile_cliffords`).
+    Clifford along its word in `compilation` (by default `group.words`).
 
     Every imperfect primitive (or the gate-independent channel) must be CPTP;
     violations raise at construction.
     """
     group = group if group is not None else generate_clifford_group()
-    compilation = compilation if compilation is not None else compile_cliffords(group)
+    compilation = compilation if compilation is not None else group.words
     imperfect_prims = _imperfect_primitives(model, ideal_primitives())
 
     for name, gate in imperfect_prims.items():
@@ -316,14 +294,11 @@ def build_gateset(
 
 
 def error_maps(gateset: GateSet) -> list[Superoperator]:
-    """Per-gate error maps L_i = C~_i C_i^{-1}."""
-    maps = []
-    for tilde, ideal in zip(gateset.imperfect, gateset.ideal.elements):
-        maps.append(Superoperator(tilde.ptm @ np.linalg.inv(ideal.ptm)))
-    return maps
+    """Per-gate error maps L_i = C~_i C_i^{-1}, each inverse exact from the group's table."""
+    group = gateset.ideal
+    return [Superoperator(m) for m in gateset.imperfect_stack() @ group.ptms[group.inverse]]
 
 
 def average_error_map(gateset: GateSet) -> Superoperator:
     """Entrywise mean of the 24 error maps."""
-    maps = error_maps(gateset)
-    return Superoperator(np.mean([m.ptm for m in maps], axis=0))
+    return Superoperator(np.mean([m.ptm for m in error_maps(gateset)], axis=0))

@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+def _tp_form(params: np.ndarray) -> np.ndarray:
+    """The TP-form gauge: the identity plus `params` on its last 3 rows."""
+    m = np.eye(4)
+    m[1:, :] += params.reshape(3, 4)
+    return m
+
+
 @dataclass(frozen=True)
 class GaugeTransform:
     """Invertible 4x4 conjugator in trace-preserving form (first row e0)."""
@@ -74,9 +81,7 @@ class GaugeTransform:
     def random_tp(cls, seed: int, scale: float) -> "GaugeTransform":
         """Identity plus a random perturbation of the 12 non-TP-row entries."""
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        m = np.eye(4)
-        m[1:, :] += scale * rng.standard_normal((3, 4))
-        return cls(m)
+        return cls(_tp_form(scale * rng.standard_normal((3, 4))))
 
     def transform_channel(self, s: Superoperator) -> Superoperator:
         return Superoperator(self.m @ s.ptm @ self.m_inv)
@@ -187,8 +192,7 @@ def _evaluate(params: np.ndarray, tilde: np.ndarray, ideal_inv: np.ndarray):
     entries around the identity) applied to the PTM stack `tilde`, scored
     against the inverse ideal PTMs `ideal_inv`; None when that gauge cannot
     be inverted safely."""
-    m = np.eye(4)
-    m[1:, :] += params.reshape(3, 4)
+    m = _tp_form(params)
     try:
         m_inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
@@ -252,7 +256,7 @@ def epsilon_min_search(
     in index order, so the result does not depend on the worker count.
     """
     tilde = gateset.imperfect_stack()
-    ideal_inv = np.stack([np.linalg.inv(e.ptm) for e in gateset.ideal.elements])
+    ideal_inv = gateset.ideal.ptms[gateset.ideal.inverse]
 
     best_params = np.zeros(12)
     best_eps, best_min_eig = _evaluate(best_params, tilde, ideal_inv)
@@ -263,11 +267,9 @@ def epsilon_min_search(
         if min_eig >= -1e-8 and eps < best_eps:
             best_params, best_eps, best_min_eig = params, eps, min_eig
 
-    m_best = np.eye(4)
-    m_best[1:, :] += best_params.reshape(3, 4)
     return EpsilonMinResult(
         epsilon_min_estimate=best_eps,
-        transform=GaugeTransform(m_best),
+        transform=GaugeTransform(_tp_form(best_params)),
         all_cp=bool(best_min_eig >= -1e-8),
         min_choi_eigenvalue=best_min_eig,
     )

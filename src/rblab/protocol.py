@@ -258,8 +258,21 @@ def sequence_survivals(gateset: GateSet, blocks, spam: Spam) -> list[np.ndarray]
     """Exact survival probabilities of RB sequences, each completed by its
     inverting Clifford: `blocks` is a list of (k_i, m_i) arrays of Clifford
     indices (applied left to right, every m_i >= 1) of any lengths. Returns
-    one array of k_i survivals per block."""
+    one array of k_i survivals per block. Raises ValueError for a block that
+    is not a 2-D integer array with m_i >= 1 and every index in [0, |C|)."""
+    blocks = [_checked_block(block, len(gateset.ideal)) for block in blocks]
     return _step_survivals(gateset.imperfect_stack(), *_circuits(gateset.ideal, blocks), spam)
+
+
+def _checked_block(block, size: int) -> np.ndarray:
+    """`block` as an array, if it is a 2-D integer block with m >= 1 and
+    indices in [0, size): the byte layout would wrap a larger index."""
+    block = np.asarray(block)
+    if block.ndim != 2 or block.dtype.kind not in "iu" or block.shape[1] < 1:
+        raise ValueError(f"a block must be a 2-D integer array with m_i >= 1, got {block.dtype} {block.shape}")
+    if block.size and not 0 <= block.min() <= block.max() < size:
+        raise ValueError(f"Clifford indices must lie in [0, {size})")
+    return block
 
 
 def _draw_sequences(group, rng: np.random.Generator, k: int, m: int) -> np.ndarray:

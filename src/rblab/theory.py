@@ -3,7 +3,7 @@
 Two decay predictors for a gateset:
 
 * the exact one, from the spectrum of a 4|C| x 4|C| block matrix whose
-  (k, j) block is the imperfect implementation of C_j^{-1} C_k divided by
+  (k, j) block is the imperfect implementation of C_k C_j^{-1} divided by
   |C|; averaging over all sequences of length m reduces to its (m+1)-th
   power, and
 
@@ -92,15 +92,19 @@ def build_r_matrix(gateset: GateSet) -> np.ndarray:
     imperfect implementation of C_k C_j^{-1}, scaled by 1/|C|."""
     group = gateset.ideal
     size = len(group)
-    blocks = np.zeros((4 * size, 4 * size))
-    for k in range(size):
-        for j in range(size):
-            # block (k, j) holds the imperfect version of the transition
-            # element C_k C_j^{-1}; with this order the path products through
-            # R^(m+1) telescope into exactly the self-inverting RB sequences
-            idx = group.cayley[k, group.inverse[j]]
-            blocks[4 * k:4 * k + 4, 4 * j:4 * j + 4] = gateset.imperfect[idx].ptm
-    return blocks / size
+    # block (k, j) holds the imperfect version of the transition element
+    # C_k C_j^{-1}; with this order the path products through R^(m+1)
+    # telescope into exactly the self-inverting RB sequences
+    blocks = gateset.imperfect_stack()[group.cayley[:, group.inverse]]
+    return blocks.transpose(0, 2, 1, 3).reshape(4 * size, 4 * size) / size
+
+
+def _lengths(lengths) -> np.ndarray:
+    """Sequence lengths as integers, each >= 1 as `RBConfig` requires."""
+    lengths = np.asarray([int(m) for m in np.atleast_1d(lengths)])
+    if np.any(lengths < 1):
+        raise ValueError("all sequence lengths must be >= 1")
+    return lengths
 
 
 def _spam_vectors(spam: Spam, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +127,7 @@ def exact_decay(
     iterated block multiplication and reports no weights.
     """
     spam = spam if spam is not None else Spam.ideal()
-    lengths = np.asarray([int(m) for m in np.atleast_1d(lengths)])
+    lengths = _lengths(lengths)
     r_matrix = build_r_matrix(gateset)
     size = len(gateset.ideal)
     eff, rho = _spam_vectors(spam, size)
@@ -159,9 +163,7 @@ def build_l_map(gateset: GateSet) -> np.ndarray:
     (vec(A X B) = (B^T kron A) vec(X))."""
     group = gateset.ideal
     out = np.zeros((16, 16))
-    for i in range(len(group)):
-        c_inv = group.elements[group.inverse[i]].ptm
-        c_tilde = gateset.imperfect[i].ptm
+    for c_tilde, c_inv in zip(gateset.imperfect_stack(), group.ptms[group.inverse]):
         out += np.kron(c_tilde.T, c_inv)
     return out / len(group)
 
@@ -215,7 +217,7 @@ def predicted_decay(analysis: GatesetTheory, spam: Spam | None = None, lengths=(
     """Approximate decay Tr(E Lbar [L^m(Id)](rho)) by iterated application
     of the analysed gateset's 16x16 map to the vectorized identity channel."""
     spam = spam if spam is not None else Spam.ideal()
-    lengths = np.asarray([int(m) for m in np.atleast_1d(lengths)])
+    lengths = _lengths(lengths)
     lbar = average_error_map(analysis.gateset).ptm
     eff, rho = spam.effect.coeffs, spam.state.coeffs
     powers = _powers_applied(analysis.l_map, vec(np.eye(4)), lengths)

@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,20 @@ def test_cayley_and_inverse_tables(group):
             assert np.array_equal(product, group.elements[group.cayley[i, j]].ptm)
 
 
+def test_ptm_stack_and_its_exact_inverses(group):
+    assert group.ptms.shape == (24, 4, 4)
+    assert not group.ptms.flags.writeable
+    assert np.array_equal(group.ptms, np.stack([e.ptm for e in group.elements]))
+    for ptm, inverse in zip(group.ptms, group.ptms[group.inverse]):
+        assert np.array_equal(inverse, np.linalg.inv(ptm))
+
+
+def test_replace_rebuilds_ptm_stack(group):
+    assert np.array_equal(replace(group).ptms, group.ptms)
+    reversed_elements = replace(group, elements=group.elements[::-1])
+    assert np.array_equal(reversed_elements.ptms, group.ptms[::-1])
+
+
 def test_index_level_associativity_sample(group):
     rng = np.random.default_rng(8)
     triples = rng.integers(0, 24, size=(10_000, 3))
@@ -75,16 +90,25 @@ def test_word_lengths_match_bfs_oracle(group, table):
 
 
 def test_compilation_table_reproduces_all_ptms(group, table):
+    assert table == group.words
     prims = ideal_primitives()
     assert table[group.identity_index] == ()
     gx = prims["Gx"]
     gx_index = next(i for i, e in enumerate(group.elements) if np.array_equal(e.ptm, gx.ptm))
     assert table[gx_index] == ("Gx",)
-    for element, word in zip(group.elements, table):
+    for word, target in zip(group.words, group.ptms):
         ptm = np.eye(4)
         for name in word:
             ptm = prims[name].ptm @ ptm
-        assert np.array_equal(ptm, element.ptm)
+        assert np.array_equal(ptm, target)
+
+
+def test_error_maps_equal_per_gate_inversion(coherent_gateset, general_gateset, depolarizing_gateset, group):
+    # the inverse table gives np.linalg.inv's products bit for bit
+    for gateset in (coherent_gateset, general_gateset, depolarizing_gateset):
+        maps = [tilde.ptm @ np.linalg.inv(ideal.ptm) for tilde, ideal in zip(gateset.imperfect, group.elements)]
+        assert all(np.array_equal(em.ptm, m) for em, m in zip(error_maps(gateset), maps))
+        assert np.array_equal(average_error_map(gateset).ptm, np.mean(maps, axis=0))
 
 
 def test_trivial_gateset_is_exact(perfect_gateset, group):

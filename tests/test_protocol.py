@@ -290,6 +290,29 @@ def test_run_rb_in_a_daemonic_process(coherent_gateset):
     assert np.array_equal(dataset.means, run_rb(coherent_gateset, config).means)
 
 
+_INVALID_BLOCKS = {
+    "zero-length": [np.zeros((3, 0), dtype=np.intp)],
+    "zero-length-next-to-real": [np.zeros((2, 3), dtype=np.intp), np.zeros((4, 0), dtype=np.intp)],
+    "index-above-group": [np.array([[261, 7, 3]])],
+    "index-at-group-size": [np.array([[24, 0]])],
+    "negative-index": [np.array([[-1, 2]])],
+    "float-indices": [np.array([[1.7, 2.0]])],
+    "one-dimensional": [np.array([1, 2, 3])],
+}
+
+
+@pytest.mark.parametrize("name", _INVALID_BLOCKS)
+def test_sequence_survivals_rejects_invalid_blocks(perfect_gateset, name):
+    with pytest.raises(ValueError):
+        sequence_survivals(perfect_gateset, _INVALID_BLOCKS[name], Spam.ideal())
+
+
+def test_sequence_survivals_takes_a_block_of_no_rows(perfect_gateset):
+    empty, probs = sequence_survivals(perfect_gateset, [np.zeros((0, 3), dtype=np.intp), np.array([[5, 7]])], GENERIC)
+    assert empty.shape == (0,)
+    assert abs(probs[0] - 1.0) < 1e-12
+
+
 def test_blocks_match_one_by_one_bitwise(general_gateset, reference_survivals):
     rng = np.random.default_rng(19)
     shapes = [(7, 3), (1, 40), (12, 3), (5, 1), (9, 17)]

@@ -22,12 +22,12 @@ from rblab import (
 def test_r_matrix_blocks_follow_group_table(coherent_gateset, group):
     r = build_r_matrix(coherent_gateset)
     assert r.shape == (96, 96)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        k, j = rng.integers(0, 24, size=2)
-        idx = group.cayley[k, group.inverse[j]]
-        block = r[4 * k:4 * k + 4, 4 * j:4 * j + 4]
-        assert np.allclose(block, coherent_gateset.imperfect[idx].ptm / 24.0, atol=1e-15)
+    expected = np.zeros((96, 96))
+    for k in range(24):
+        for j in range(24):
+            idx = group.cayley[k, group.inverse[j]]
+            expected[4 * k:4 * k + 4, 4 * j:4 * j + 4] = coherent_gateset.imperfect[idx].ptm
+    assert np.array_equal(r, expected / 24.0)
 
 
 def test_r_matrix_perfect_power_identity(perfect_gateset):
@@ -76,6 +76,19 @@ def test_exact_decay_fallback_matches_spectral(coherent_gateset, monkeypatch):
 def test_brute_force_caps_length(coherent_gateset):
     with pytest.raises(ValueError, match="capped"):
         brute_force_pm(coherent_gateset, m=4)
+
+
+def test_brute_force_rejects_length_zero(coherent_gateset):
+    with pytest.raises(ValueError, match=">= 1"):
+        brute_force_pm(coherent_gateset, m=0)
+
+
+@pytest.mark.parametrize("lengths", [[-1], [0], [1, 0, 51]])
+def test_theories_reject_lengths_below_one(coherent_gateset, lengths):
+    with pytest.raises(ValueError, match=">= 1"):
+        exact_decay(coherent_gateset, lengths=lengths)
+    with pytest.raises(ValueError, match=">= 1"):
+        predicted_decay(analyse(coherent_gateset), lengths=lengths)
 
 
 def test_l_map_perfect_is_twirl_projector(perfect_gateset):
