@@ -71,7 +71,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A finite JSON number; Python's json also reads NaN and Infinity."""
+    return _is_int(value) or (isinstance(value, float) and np.isfinite(value))
 
 
 def _checked(test, message: str, convert=None):
@@ -116,8 +117,8 @@ def _lengths(value) -> tuple[int, ...]:
     """A list of lengths, or {start, stop, step} for range(start, stop + 1, step)."""
     if isinstance(value, dict) and set(value) == {"start", "stop", "step"}:
         start, stop, step = value["start"], value["stop"], value["step"]
-        if _is_int(start) and _is_int(step) and min(start, step) >= 1 and _is_number(stop) and stop >= start:
-            return tuple(range(start, int(stop) + 1, step))
+        if all(map(_is_int, (start, stop, step))) and min(start, step) >= 1 and stop >= start:
+            return tuple(range(start, stop + 1, step))
     elif _is_list(value, lambda m: _is_int(m) and m >= 1):
         return tuple(value)
     raise ValueError("must be a list of integers >= 1 or {start, stop, step} (integers >= 1, stop >= start)")
@@ -249,9 +250,8 @@ def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
     (analysis,) = values["theories"]
     gateset = analysis.gateset
     transform = gauge.GaugeTransform.random_tp(seed=values["seed"], scale=values["gauge.scale"])
-    transformed = transform.transform_gateset(gateset)
     eps_before = gauge.agsi_of(gateset)
-    eps_after, min_eig = gauge.infidelity_and_min_choi(transformed.imperfect, gateset.ideal.elements)
+    eps_after, min_eig = gauge.infidelity_and_min_choi(transform.transform_gateset(gateset))
     wallman = gauge.wallman_gauge(analysis, seed=values["seed"])
     _write_json(
         out_dir / "gauge_report.json",

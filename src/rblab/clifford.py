@@ -11,7 +11,7 @@ the state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -65,34 +65,33 @@ def _snap_to_int(ptm: np.ndarray) -> np.ndarray:
     return snapped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordGroup:
-    """The group as exact PTMs plus composition and inverse tables.
+    """The group as its exact PTM stack plus composition and inverse tables.
 
-    cayley[i, j] is the index of elements[i] composed after elements[j]
-    (PTM product elements[i] @ elements[j]); words[i] is its shortest
-    {Gx, Gy} word. ptms, the (|C|, 4, 4) stack of the element PTMs, is
-    derived from `elements`, and ptms[inverse] stacks their exact inverses.
+    ptms is the read-only (|C|, 4, 4) stack of the element PTMs;
+    cayley[i, j] is the index of element i composed after element j (PTM
+    product ptms[i] @ ptms[j]), ptms[inverse] stacks their exact inverses
+    and words[i] is element i's shortest {Gx, Gy} word.
     """
 
-    elements: tuple[Superoperator, ...]
+    ptms: np.ndarray
     cayley: np.ndarray
     inverse: np.ndarray
     identity_index: int
     words: tuple[tuple[str, ...], ...]
-    ptms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, table in (
+            ("ptms", np.array(self.ptms, dtype=float)),
             ("cayley", np.array(self.cayley, dtype=np.intp)),
             ("inverse", np.array(self.inverse, dtype=np.intp)),
-            ("ptms", np.stack([e.ptm for e in self.elements])),
         ):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ptms)
 
 
 @lru_cache(maxsize=1)
@@ -113,7 +112,7 @@ def generate_clifford_group() -> CliffordGroup:
         raise RuntimeError("group inverse is not unique")
 
     return CliffordGroup(
-        elements=tuple(Superoperator(e) for e in elements),
+        ptms=np.stack(elements),
         cayley=cayley,
         inverse=identities.argmax(axis=1),
         identity_index=0,
@@ -244,22 +243,26 @@ def _imperfect_primitives(model: ErrorModel, ideal: dict[str, Superoperator]) ->
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateSet:
     """Ideal Clifford group together with its imperfect implementation.
 
-    For word-compiled error models each imperfect Clifford is the product of
-    imperfect primitives along the compilation word (so the identity Clifford
-    stays perfect); GateIndependent instead multiplies its channel onto every
-    ideal Clifford directly.
+    ptms is the read-only (|C|, 4, 4) stack of the imperfect Clifford PTMs,
+    indexed like the group. For word-compiled error models each is the
+    product of imperfect primitives along the compilation word (so the
+    identity Clifford stays perfect); GateIndependent instead multiplies its
+    channel onto every ideal Clifford directly.
     """
 
     ideal: CliffordGroup
-    imperfect: tuple[Superoperator, ...]
+    ptms: np.ndarray
 
-    def imperfect_stack(self) -> np.ndarray:
-        """All imperfect Clifford PTMs as one (|C|, 4, 4) array."""
-        return np.stack([e.ptm for e in self.imperfect])
+    def __post_init__(self):
+        ptms = np.array(self.ptms, dtype=float)
+        if ptms.shape != self.ideal.ptms.shape:
+            raise ValueError(f"gateset PTMs must have shape {self.ideal.ptms.shape}, got {ptms.shape}")
+        ptms.setflags(write=False)
+        object.__setattr__(self, "ptms", ptms)
 
 
 def build_gateset(
@@ -284,21 +287,17 @@ def build_gateset(
     if isinstance(model, GateIndependent):
         if not is_tp(model.channel) or not is_cp(model.channel):
             raise ValueError("gate-independent error channel is not CPTP")
-        imperfect = tuple(model.channel @ element for element in group.elements)
-    else:
-        imperfect = tuple(
-            Superoperator(_product_along_word(imperfect_prims, word))
-            for word in compilation
-        )
-    return GateSet(ideal=group, imperfect=imperfect)
+        return GateSet(ideal=group, ptms=model.channel.ptm @ group.ptms)
+    return GateSet(ideal=group, ptms=np.stack([_product_along_word(imperfect_prims, word) for word in compilation]))
 
 
-def error_maps(gateset: GateSet) -> list[Superoperator]:
-    """Per-gate error maps L_i = C~_i C_i^{-1}, each inverse exact from the group's table."""
+def error_maps(gateset: GateSet) -> np.ndarray:
+    """The (|C|, 4, 4) stack of per-gate error maps L_i = C~_i C_i^{-1},
+    each inverse exact from the group's table."""
     group = gateset.ideal
-    return [Superoperator(m) for m in gateset.imperfect_stack() @ group.ptms[group.inverse]]
+    return gateset.ptms @ group.ptms[group.inverse]
 
 
-def average_error_map(gateset: GateSet) -> Superoperator:
-    """Entrywise mean of the 24 error maps."""
-    return Superoperator(np.mean([m.ptm for m in error_maps(gateset)], axis=0))
+def average_error_map(gateset: GateSet) -> np.ndarray:
+    """Entrywise mean of the 24 error maps, a 4x4 PTM."""
+    return error_maps(gateset).mean(axis=0)

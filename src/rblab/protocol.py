@@ -125,7 +125,7 @@ class RBConfig:
             raise ValueError("repeats must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RBDataset:
     """Exact per-sequence survival probabilities and their means, per length."""
 
@@ -261,7 +261,7 @@ def sequence_survivals(gateset: GateSet, blocks, spam: Spam) -> list[np.ndarray]
     one array of k_i survivals per block. Raises ValueError for a block that
     is not a 2-D integer array with m_i >= 1 and every index in [0, |C|)."""
     blocks = [_checked_block(block, len(gateset.ideal)) for block in blocks]
-    return _step_survivals(gateset.imperfect_stack(), *_circuits(gateset.ideal, blocks), spam)
+    return _step_survivals(gateset.ptms, *_circuits(gateset.ideal, blocks), spam)
 
 
 def _checked_block(block, size: int) -> np.ndarray:
@@ -323,7 +323,7 @@ def _simulate_batch(gateset: GateSet, config: RBConfig, batch: list[int]) -> lis
         gates.setflags(write=False)
         steps.setflags(write=False)
         _last_circuits.update(group=group, key=key, circuits=(gates, steps, tuple(rows)))
-    return _step_survivals(gateset.imperfect_stack(), *_last_circuits["circuits"], config.spam)
+    return _step_survivals(gateset.ptms, *_last_circuits["circuits"], config.spam)
 
 
 def _fork_workers(items: int) -> int:

@@ -64,7 +64,7 @@ def unvec(vector: np.ndarray) -> np.ndarray:
     return np.asarray(vector).reshape(4, 4).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """A linear map on one-qubit operators, stored as its real 4x4 PTM."""
 
@@ -102,7 +102,7 @@ def _coeffs_of_operator(op: np.ndarray, what: str) -> np.ndarray:
     return coeffs.real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Density operator as a real Pauli-basis coefficient vector."""
 
@@ -128,7 +128,7 @@ class State:
         return cls(_coeffs_of_operator(rho, "density matrix"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Effect:
     """POVM effect as a real Pauli-basis coefficient vector."""
 
@@ -192,11 +192,16 @@ PTM_TO_CHOI = np.asfortranarray(np.einsum("jki,lab->iakblj", PAULI_BASIS, PAULI_
 PTM_TO_CHOI.setflags(write=False)
 
 
+def _chois(ptms: np.ndarray) -> np.ndarray:
+    """`to_choi` of each PTM of an (n, 4, 4) stack (or of one PTM, n = 1)."""
+    return np.matmul(PTM_TO_CHOI, ptms.reshape(-1, 16, 1)).reshape(-1, 4, 4)
+
+
 def to_choi(s: Superoperator) -> np.ndarray:
     """The 4x4 complex Choi matrix sum_ij B_ij (x) S(B_ij) over matrix units
     B_ij, input factor first. It is unnormalized: the identity channel has
     Choi trace 2."""
-    return (PTM_TO_CHOI @ s.ptm.reshape(-1)).reshape(4, 4)
+    return _chois(s.ptm)[0]
 
 
 def choi_eigenvalues(s: Superoperator) -> np.ndarray:

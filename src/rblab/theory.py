@@ -22,7 +22,7 @@ import numpy as np
 
 from .clifford import GateSet, average_error_map, error_maps
 from .protocol import Spam, sequence_survivals
-from .superop import diamond_bracket, vec, unvec
+from .superop import Superoperator, diamond_bracket, vec, unvec
 
 __all__ = [
     "SpectralDecay",
@@ -43,7 +43,7 @@ _EIG_COND_LIMIT = 1e8
 _REALNESS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecay:
     """Eigenvalues and SPAM-dependent weights of the sequence-averaging
     matrix R; the prediction at length m is sum_i weights_i * eig_i**(m+1).
@@ -71,7 +71,7 @@ class GammaResult:
     r_gamma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaBound:
     """delta_diamond = mean(per-gate diamond distances to the average error
     map) / 2; bounds the approximate theory's error at every length.
@@ -95,7 +95,7 @@ def build_r_matrix(gateset: GateSet) -> np.ndarray:
     # block (k, j) holds the imperfect version of the transition element
     # C_k C_j^{-1}; with this order the path products through R^(m+1)
     # telescope into exactly the self-inverting RB sequences
-    blocks = gateset.imperfect_stack()[group.cayley[:, group.inverse]]
+    blocks = gateset.ptms[group.cayley[:, group.inverse]]
     return blocks.transpose(0, 2, 1, 3).reshape(4 * size, 4 * size) / size
 
 
@@ -163,7 +163,7 @@ def build_l_map(gateset: GateSet) -> np.ndarray:
     (vec(A X B) = (B^T kron A) vec(X))."""
     group = gateset.ideal
     out = np.zeros((16, 16))
-    for c_tilde, c_inv in zip(gateset.imperfect_stack(), group.ptms[group.inverse]):
+    for c_tilde, c_inv in zip(gateset.ptms, group.ptms[group.inverse]):
         out += np.kron(c_tilde.T, c_inv)
     return out / len(group)
 
@@ -196,7 +196,7 @@ def gamma_and_r_gamma(l_matrix: np.ndarray) -> GammaResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GatesetTheory:
     """A gateset in the small-error regime with its 16x16 `L` map and the
     map's subdominant eigenvalue; built by :func:`analyse`."""
@@ -218,7 +218,7 @@ def predicted_decay(analysis: GatesetTheory, spam: Spam | None = None, lengths=(
     of the analysed gateset's 16x16 map to the vectorized identity channel."""
     spam = spam if spam is not None else Spam.ideal()
     lengths = _lengths(lengths)
-    lbar = average_error_map(analysis.gateset).ptm
+    lbar = average_error_map(analysis.gateset)
     eff, rho = spam.effect.coeffs, spam.state.coeffs
     powers = _powers_applied(analysis.l_map, vec(np.eye(4)), lengths)
     return np.array([float(eff @ (lbar @ unvec(v) @ rho)) for v in powers], dtype=float)
@@ -227,9 +227,9 @@ def predicted_decay(analysis: GatesetTheory, spam: Spam | None = None, lengths=(
 def delta_diamond(gateset: GateSet, seed: int = 0) -> DeltaBound:
     """Half the average diamond distance between each gate's error map and
     the average error map."""
-    avg = average_error_map(gateset)
+    avg = Superoperator(average_error_map(gateset))
     brackets = np.array(
-        [diamond_bracket(m, avg, seed=seed + i) for i, m in enumerate(error_maps(gateset))]
+        [diamond_bracket(Superoperator(m), avg, seed=seed + i) for i, m in enumerate(error_maps(gateset))]
     )
     return DeltaBound(
         delta_diamond=float(brackets[:, 0].mean() / 2.0),

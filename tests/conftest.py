@@ -23,7 +23,7 @@ def _reference_survivals(gateset, sequences, spam=None):
     as an independent check of the `rblab.protocol` sequence engine."""
     spam = spam if spam is not None else Spam.ideal()
     group = gateset.ideal
-    ptms = gateset.imperfect_stack()
+    ptms = gateset.ptms
     products = sequences[:, 0].copy()
     for t in range(1, sequences.shape[1]):
         products = group.cayley[sequences[:, t], products]
@@ -121,7 +121,7 @@ def _reference_primed_l_map(gateset):
     group = gateset.ideal
     out = np.zeros((16, 16))
     for i in range(len(group)):
-        out += np.kron(group.elements[group.inverse[i]].ptm.T, gateset.imperfect[i].ptm)
+        out += np.kron(group.ptms[group.inverse[i]].T, gateset.ptms[i])
     return out / len(group)
 
 

@@ -15,6 +15,7 @@ from rblab import (
     GaugeTransform,
     RBConfig,
     Spam,
+    Superoperator,
     agi,
     agsi_of,
     analyse,
@@ -257,10 +258,10 @@ def test_criterion_9_counterexample(depolarizing_gateset, group):
     for alpha in (best.alpha, 0.9975, 1.0025):
         transform = m_alpha(alpha)
         formula = (3.0 - lam * (alpha**2 + alpha + 1.0) / alpha) / 6.0
-        for tilde, ideal in zip(depolarizing_gateset.imperfect, group.elements):
-            if abs(ideal.ptm[2, 2]) == 1.0:
+        for tilde, ideal in zip(depolarizing_gateset.ptms, group.ptms):
+            if abs(ideal[2, 2]) == 1.0:
                 continue
-            value = agi(transform.transform_channel(tilde), ideal)
+            value = agi(transform.transform_channel(Superoperator(tilde)), Superoperator(ideal))
             worst_formula_error = max(worst_formula_error, abs(value - formula))
     assert worst_formula_error < 1e-12
     print(

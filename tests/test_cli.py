@@ -125,6 +125,32 @@ def test_validate_rejects_configs_that_cannot_run(tmp_path, capsys, config, fiel
     assert field in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (lambda bad: _with(BASE_GAUGE, gauge={"scale": bad}), "gauge.scale"),
+        (lambda bad: dict(BASE_SIMULATE, error_model={"name": "coherent_z", "theta": bad}), "error_model.theta"),
+        (lambda bad: _with(BASE_SWEEP, sweep={"grid": [0.2, bad]}), "sweep.grid"),
+        (lambda bad: _with(BASE_COUNTER, counterexample={"alpha_grid": {"start": 0.9, "stop": bad, "num": 3}}),
+         "counterexample.alpha_grid"),
+        (lambda bad: _with(BASE_SIMULATE, rb={"lengths": {"start": 1, "stop": bad, "step": 50}}), "rb.lengths"),
+    ],
+    ids=["gauge-scale", "theta", "sweep-grid", "alpha-grid-stop", "lengths-stop"],
+)
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, config, field, bad):
+    # Python's json reads NaN and Infinity; each must fail the check, not the run
+    path = _write_config(tmp_path, config(bad))
+    assert main(["--config", str(path), "--validate-only"]) == 2
+    assert field in capsys.readouterr().out
+
+
+def test_validate_rejects_a_fractional_lengths_stop():
+    config = _with(BASE_SIMULATE, rb={"lengths": {"start": 1, "stop": 10.9, "step": 3}})
+    assert any(p.startswith("rb.lengths") for p in validate(config))
+    assert validate(_with(BASE_SIMULATE, rb={"lengths": {"start": 1, "stop": 10, "step": 3}})) == []
+
+
 def test_validate_accepts_configs_that_run():
     assert validate(BASE_SWEEP) == []
     assert validate(_with(BASE_SIMULATE, rb={"lengths": [1, 51, 101], "fit_model": "zeroth"})) == []

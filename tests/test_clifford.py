@@ -7,23 +7,32 @@ import pytest
 from rblab import (
     CoherentZ,
     CustomPrimitive,
+    Effect,
     GateIndependent,
+    GateSet,
+    GaugeTransform,
     Perfect,
+    RBConfig,
+    State,
     Superoperator,
     agi,
+    analyse,
     average_error_map,
     build_gateset,
+    delta_diamond,
     error_maps,
+    exact_decay,
+    run_rb,
 )
 from rblab.clifford import ideal_primitives
+from rblab.superop import rotation_channel
 
 
 def test_group_has_24_signed_permutations(group):
     assert len(group) == 24
     assert group.identity_index == 0
     seen = set()
-    for element in group.elements:
-        ptm = element.ptm
+    for ptm in group.ptms:
         seen.add(ptm.astype(np.int8).tobytes())
         assert set(np.unique(np.abs(ptm))) <= {0.0, 1.0}
         assert np.array_equal(np.abs(ptm) @ np.ones(4), np.ones(4))
@@ -38,22 +47,22 @@ def test_cayley_and_inverse_tables(group):
         assert group.cayley[group.inverse[i], i] == group.identity_index
     for i in range(24):
         for j in range(24):
-            product = group.elements[i].ptm @ group.elements[j].ptm
-            assert np.array_equal(product, group.elements[group.cayley[i, j]].ptm)
+            product = group.ptms[i] @ group.ptms[j]
+            assert np.array_equal(product, group.ptms[group.cayley[i, j]])
 
 
 def test_ptm_stack_and_its_exact_inverses(group):
     assert group.ptms.shape == (24, 4, 4)
     assert not group.ptms.flags.writeable
-    assert np.array_equal(group.ptms, np.stack([e.ptm for e in group.elements]))
     for ptm, inverse in zip(group.ptms, group.ptms[group.inverse]):
         assert np.array_equal(inverse, np.linalg.inv(ptm))
 
 
 def test_replace_rebuilds_ptm_stack(group):
     assert np.array_equal(replace(group).ptms, group.ptms)
-    reversed_elements = replace(group, elements=group.elements[::-1])
+    reversed_elements = replace(group, ptms=group.ptms[::-1].copy())
     assert np.array_equal(reversed_elements.ptms, group.ptms[::-1])
+    assert not reversed_elements.ptms.flags.writeable
 
 
 def test_index_level_associativity_sample(group):
@@ -84,8 +93,8 @@ def _bfs_shortest_lengths(group):
 def test_word_lengths_match_bfs_oracle(group, table):
     oracle = _bfs_shortest_lengths(group)
     assert len(oracle) == 24
-    for element, word in zip(group.elements, table):
-        key = element.ptm.astype(np.int8).tobytes()
+    for ptm, word in zip(group.ptms, table):
+        key = ptm.astype(np.int8).tobytes()
         assert len(word) == oracle[key]
 
 
@@ -94,7 +103,7 @@ def test_compilation_table_reproduces_all_ptms(group, table):
     prims = ideal_primitives()
     assert table[group.identity_index] == ()
     gx = prims["Gx"]
-    gx_index = next(i for i, e in enumerate(group.elements) if np.array_equal(e.ptm, gx.ptm))
+    gx_index = next(i for i, ptm in enumerate(group.ptms) if np.array_equal(ptm, gx.ptm))
     assert table[gx_index] == ("Gx",)
     for word, target in zip(group.words, group.ptms):
         ptm = np.eye(4)
@@ -106,47 +115,45 @@ def test_compilation_table_reproduces_all_ptms(group, table):
 def test_error_maps_equal_per_gate_inversion(coherent_gateset, general_gateset, depolarizing_gateset, group):
     # the inverse table gives np.linalg.inv's products bit for bit
     for gateset in (coherent_gateset, general_gateset, depolarizing_gateset):
-        maps = [tilde.ptm @ np.linalg.inv(ideal.ptm) for tilde, ideal in zip(gateset.imperfect, group.elements)]
-        assert all(np.array_equal(em.ptm, m) for em, m in zip(error_maps(gateset), maps))
-        assert np.array_equal(average_error_map(gateset).ptm, np.mean(maps, axis=0))
+        maps = [tilde @ np.linalg.inv(ideal) for tilde, ideal in zip(gateset.ptms, group.ptms)]
+        assert np.array_equal(error_maps(gateset), maps)
+        assert np.array_equal(average_error_map(gateset), np.mean(maps, axis=0))
 
 
 def test_trivial_gateset_is_exact(perfect_gateset, group):
-    for built, ideal in zip(perfect_gateset.imperfect, group.elements):
-        assert np.array_equal(built.ptm, ideal.ptm)
-    maps = error_maps(perfect_gateset)
-    for em in maps:
-        assert np.allclose(em.ptm, np.eye(4), atol=1e-12)
-    assert np.allclose(average_error_map(perfect_gateset).ptm, np.eye(4), atol=1e-12)
+    assert np.array_equal(perfect_gateset.ptms, group.ptms)
+    for em in error_maps(perfect_gateset):
+        assert np.allclose(em, np.eye(4), atol=1e-12)
+    assert np.allclose(average_error_map(perfect_gateset), np.eye(4), atol=1e-12)
 
 
-def _is_unitary_channel(s, tol):
+def _is_unitary_channel(ptm, tol):
     """Unitary channels have orthogonal PTMs."""
-    return np.max(np.abs(s.ptm.T @ s.ptm - np.eye(4))) <= tol
+    return np.max(np.abs(ptm.T @ ptm - np.eye(4))) <= tol
 
 
 def test_coherent_gateset_stays_unitary(coherent_gateset, group):
-    for i, (built, ideal) in enumerate(zip(coherent_gateset.imperfect, group.elements)):
+    for i, (built, ideal) in enumerate(zip(coherent_gateset.ptms, group.ptms)):
         assert _is_unitary_channel(built, tol=1e-9)
-        infidelity = agi(built, ideal)
+        infidelity = agi(Superoperator(built), Superoperator(ideal))
         if i == group.identity_index:
             assert infidelity < 1e-14  # empty word: identity stays perfect
         else:
             assert infidelity > 0
     for em in error_maps(coherent_gateset):
         assert _is_unitary_channel(em, tol=1e-9)
-    eps = np.mean([agi(t, i) for t, i in zip(coherent_gateset.imperfect, group.elements)])
+    eps = np.mean([agi(Superoperator(t), Superoperator(i)) for t, i in zip(coherent_gateset.ptms, group.ptms)])
     assert 5e-4 < eps < 5e-3
 
 
 def test_gate_independent_applies_at_clifford_level(depolarizing_gateset, group):
     lam = 0.99
     for em in error_maps(depolarizing_gateset):
-        assert np.allclose(em.ptm, np.diag([1.0, lam, lam, lam]), atol=1e-12)
-    assert np.allclose(average_error_map(depolarizing_gateset).ptm, np.diag([1.0, lam, lam, lam]), atol=1e-12)
+        assert np.allclose(em, np.diag([1.0, lam, lam, lam]), atol=1e-12)
+    assert np.allclose(average_error_map(depolarizing_gateset), np.diag([1.0, lam, lam, lam]), atol=1e-12)
     # includes the identity Clifford: its implementation is the error channel itself
-    identity_impl = depolarizing_gateset.imperfect[group.identity_index]
-    assert np.allclose(identity_impl.ptm, np.diag([1.0, lam, lam, lam]), atol=1e-12)
+    identity_impl = depolarizing_gateset.ptms[group.identity_index]
+    assert np.allclose(identity_impl, np.diag([1.0, lam, lam, lam]), atol=1e-12)
 
 
 def test_alternate_compilation_changes_imperfect_not_ideal(group, table):
@@ -157,12 +164,11 @@ def test_alternate_compilation_changes_imperfect_not_ideal(group, table):
 
     trivial_a = build_gateset(Perfect(), group, table)
     trivial_b = build_gateset(Perfect(), group, padded)
-    for a, b in zip(trivial_a.imperfect, trivial_b.imperfect):
-        assert np.array_equal(a.ptm, b.ptm)
+    assert np.array_equal(trivial_a.ptms, trivial_b.ptms)
 
     noisy_a = build_gateset(CoherentZ(0.12), group, table)
     noisy_b = build_gateset(CoherentZ(0.12), group, padded)
-    assert not np.allclose(noisy_a.imperfect[1].ptm, noisy_b.imperfect[1].ptm)
+    assert not np.allclose(noisy_a.ptms[1], noisy_b.ptms[1])
 
 
 def test_build_gateset_rejects_non_cptp_primitives(group, table):
@@ -172,3 +178,53 @@ def test_build_gateset_rejects_non_cptp_primitives(group, table):
     with pytest.raises(ValueError, match="CPTP"):
         build_gateset(GateIndependent(bad), group, table)
 
+
+
+def test_gateset_is_a_read_only_stack_of_the_group_shape(group, coherent_gateset):
+    assert coherent_gateset.ptms.shape == (24, 4, 4)
+    assert not coherent_gateset.ptms.flags.writeable
+    with pytest.raises(ValueError):
+        coherent_gateset.ptms[0, 0, 0] = 2.0
+    for shape in ((23, 4, 4), (24, 3, 3)):
+        with pytest.raises(ValueError, match="shape"):
+            GateSet(group, np.zeros(shape))
+    source = np.array(coherent_gateset.ptms)
+    copy = GateSet(group, source)
+    source[0] = 0.0  # the gateset holds its own copy
+    assert np.array_equal(copy.ptms, coherent_gateset.ptms)
+
+
+def test_build_gateset_stacks_the_per_gate_products(group, table, coherent_gateset, depolarizing_gateset):
+    lam = 0.99
+    channel = np.diag([1.0, lam, lam, lam])
+    assert np.array_equal(depolarizing_gateset.ptms, np.stack([channel @ ptm for ptm in group.ptms]))
+    prims = ideal_primitives()
+    detuning = rotation_channel(np.array([0.0, 0.0, 1.0]), 0.1).ptm
+    for ptm, word in zip(coherent_gateset.ptms, table):
+        expected = np.eye(4)
+        for name in word:
+            expected = detuning @ prims[name].ptm @ expected
+        assert np.array_equal(ptm, expected)
+
+
+def _array_holders(group, gateset):
+    return [
+        Superoperator(np.eye(4)),
+        State.z_plus(),
+        Effect.z_plus(),
+        group,
+        gateset,
+        run_rb(gateset, RBConfig(lengths=(1, 2), k_per_length=2)),
+        exact_decay(gateset)[0],
+        analyse(gateset),
+        delta_diamond(gateset),
+        GaugeTransform(np.eye(4)),
+    ]
+
+
+def test_array_dataclasses_compare_by_identity(group, coherent_gateset):
+    for first, second in zip(_array_holders(group, coherent_gateset), _array_holders(group, coherent_gateset)):
+        assert (first == first) is True
+        assert (first == second) is (first is second)
+        assert isinstance(hash(first), int)
+        assert first in [second, first]

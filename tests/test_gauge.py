@@ -15,6 +15,7 @@ from rblab import (
     choi_eigenvalues,
     counterexample_epsilon_min,
     depolarizing_channel,
+    infidelity_and_min_choi,
     epsilon_min_search,
     gamma_and_r_gamma,
     m_alpha,
@@ -34,12 +35,43 @@ def test_gauge_transform_validation():
         m[2] = 0.0
         GaugeTransform(m)
     assert np.allclose(GaugeTransform(np.eye(4)).m, np.eye(4))
+    for bad in (np.nan, np.inf):
+        m = np.eye(4)
+        m[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaugeTransform(m)
+    with pytest.raises(ValueError, match="finite"):
+        GaugeTransform.random_tp(seed=0, scale=np.nan)
+
+
+def test_transform_gateset_equals_per_gate_transform_channel(coherent_gateset, general_gateset, random_gatesets):
+    for seed, gateset in enumerate([coherent_gateset, general_gateset, *random_gatesets]):
+        transform = GaugeTransform.random_tp(seed=seed, scale=0.3)
+        per_gate = [transform.transform_channel(Superoperator(c)).ptm for c in gateset.ptms]
+        transformed = transform.transform_gateset(gateset)
+        assert transformed.ideal is gateset.ideal
+        assert np.array_equal(transformed.ptms, per_gate)
+
+
+def test_scorer_equals_per_gate_definitions(
+    perfect_gateset, coherent_gateset, general_gateset, depolarizing_gateset, random_gatesets
+):
+    # the stacked scorer keeps agsi's and choi_eigenvalues' bits gate by gate,
+    # in the standard representation and in seeded random TP gauges
+    gatesets = [perfect_gateset, coherent_gateset, general_gateset, depolarizing_gateset, *random_gatesets]
+    for index, gateset in enumerate(gatesets):
+        for scale in (0.0, 0.1, 0.4):
+            represented = GaugeTransform.random_tp(seed=100 + index, scale=scale).transform_gateset(gateset)
+            gates = [Superoperator(c) for c in represented.ptms]
+            ideal = [Superoperator(c) for c in represented.ideal.ptms]
+            expected = (agsi(gates, ideal), min(float(choi_eigenvalues(c)[0]) for c in gates))
+            assert infidelity_and_min_choi(represented) == expected
+            assert agsi_of(represented) == expected[0]
 
 
 def test_identity_gauge_is_a_no_op(coherent_gateset):
     transformed = GaugeTransform(np.eye(4)).transform_gateset(coherent_gateset)
-    for a, b in zip(transformed.imperfect, coherent_gateset.imperfect):
-        assert np.array_equal(a.ptm, b.ptm)
+    assert np.array_equal(transformed.ptms, coherent_gateset.ptms)
 
 
 def test_gauge_preserves_circuit_probabilities(coherent_gateset):
@@ -81,8 +113,8 @@ def _multiset_distance(a, b):
 
 def test_same_transform_on_both_gatesets_preserves_epsilon(coherent_gateset):
     transform = GaugeTransform.random_tp(seed=5, scale=0.3)
-    tilde = [transform.transform_channel(c) for c in coherent_gateset.imperfect]
-    ideal = [transform.transform_channel(c) for c in coherent_gateset.ideal.elements]
+    tilde = [transform.transform_channel(Superoperator(c)) for c in coherent_gateset.ptms]
+    ideal = [transform.transform_channel(Superoperator(c)) for c in coherent_gateset.ideal.ptms]
     before = agsi_of(coherent_gateset)
     after = agsi(tilde, ideal)
     assert abs(before - after) < 1e-12
@@ -108,11 +140,11 @@ def test_m_alpha_error_map_pattern(depolarizing_gateset, group):
     lam, alpha = 0.99, 1.2
     transform = m_alpha(alpha)
     transformed = transform.transform_gateset(depolarizing_gateset)
-    for em, ideal in zip(error_maps(transformed), group.elements):
-        diag = np.diag(em.ptm)
-        y_axis_image = np.abs(ideal.ptm[:, 2]).argmax()
+    for em, ideal in zip(error_maps(transformed), group.ptms):
+        diag = np.diag(em)
+        y_axis_image = np.abs(ideal[:, 2]).argmax()
         if y_axis_image == 2:  # Clifford fixes sigma_y up to sign
-            assert np.allclose(em.ptm, np.diag([1, lam, lam, lam]), atol=1e-12)
+            assert np.allclose(em, np.diag([1, lam, lam, lam]), atol=1e-12)
         else:
             assert abs(diag[2] - lam * alpha) < 1e-12
             assert abs(diag[y_axis_image] - lam / alpha) < 1e-12
@@ -137,20 +169,20 @@ def test_counterexample_per_gate_formula(depolarizing_gateset, group):
     for alpha in (0.95, 0.9975, 1.0, 1.05):
         transform = m_alpha(alpha)
         formula = (3.0 - lam * (alpha**2 + alpha + 1.0) / alpha) / 6.0
-        for tilde, ideal in zip(depolarizing_gateset.imperfect, group.elements):
-            value = agi(transform.transform_channel(tilde), ideal)
-            fixes_y = abs(ideal.ptm[2, 2]) == 1.0
+        for tilde, ideal in zip(depolarizing_gateset.ptms, group.ptms):
+            value = agi(transform.transform_channel(Superoperator(tilde)), Superoperator(ideal))
+            fixes_y = abs(ideal[2, 2]) == 1.0
             expected = (1.0 - lam) / 2.0 if fixes_y else formula
             assert abs(value - expected) < 1e-12
 
 
 def test_counterexample_choi_eigenvalue_formula(depolarizing_gateset, group):
     lam = 0.99
-    moving = next(i for i, e in enumerate(group.elements) if abs(e.ptm[2, 2]) != 1.0)
+    moving = next(i for i, ptm in enumerate(group.ptms) if abs(ptm[2, 2]) != 1.0)
     for alpha in (0.95, 1.0, 1.08):
         transform = m_alpha(alpha)
-        tilde = transform.transform_channel(depolarizing_gateset.imperfect[moving])
-        error = Superoperator(tilde.ptm @ np.linalg.inv(group.elements[moving].ptm))
+        tilde = transform.transform_channel(Superoperator(depolarizing_gateset.ptms[moving]))
+        error = Superoperator(tilde.ptm @ np.linalg.inv(group.ptms[moving]))
         eigs = np.sort(choi_eigenvalues(error))
         xi = np.sort(
             [

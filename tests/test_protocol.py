@@ -80,7 +80,7 @@ GENERIC = Spam(State(TILTED), Effect(TILTED))
 
 
 def test_sampled_sequences_invert_to_identity(perfect_gateset, group):
-    rotated = [e.ptm @ TILTED for e in group.elements]
+    rotated = [ptm @ TILTED for ptm in group.ptms]
     assert sum(np.allclose(v, TILTED) for v in rotated) == 1
     rng = np.random.default_rng(4)
     blocks = [rng.integers(0, 24, size=(30, m)) for m in (1, 2, 5, 20, 2, 101)]
@@ -138,8 +138,8 @@ def _dense_oracle_survival(theta: float, group, table, sequence) -> float:
 
     err = unitary(sz, theta)
     prim = {"Gx": err @ unitary(sx, np.pi / 2), "Gy": err @ unitary(sy, np.pi / 2)}
-    product_ptm = np.linalg.multi_dot([np.eye(4)] + [group.elements[i].ptm for i in sequence[::-1]])
-    inversion = next(i for i, e in enumerate(group.elements) if np.array_equal(e.ptm @ product_ptm, np.eye(4)))
+    product_ptm = np.linalg.multi_dot([np.eye(4)] + [group.ptms[i] for i in sequence[::-1]])
+    inversion = next(i for i, ptm in enumerate(group.ptms) if np.array_equal(ptm @ product_ptm, np.eye(4)))
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
     for index in [*sequence, inversion]:
         for name in table[index]:

@@ -373,7 +373,7 @@ def test_nelder_mead_equals_scipy(name, monkeypatch):
         gateset = build_gateset(model)
         ideal_inv = gateset.ideal.ptms[gateset.ideal.inverse]
         runs = _spy_on_nelder_mead(monkeypatch, gauge)
-        gauge._restart(gateset.imperfect_stack(), ideal_inv, 0, index)
+        gauge._restart(gateset.ptms, ideal_inv, 0, index)
     else:
         runs = _spy_on_nelder_mead(monkeypatch, superop)
         diamond_bracket(_amplitude_damping(0.3), IDENTITY)

@@ -26,7 +26,7 @@ def test_r_matrix_blocks_follow_group_table(coherent_gateset, group):
     for k in range(24):
         for j in range(24):
             idx = group.cayley[k, group.inverse[j]]
-            expected[4 * k:4 * k + 4, 4 * j:4 * j + 4] = coherent_gateset.imperfect[idx].ptm
+            expected[4 * k:4 * k + 4, 4 * j:4 * j + 4] = coherent_gateset.ptms[idx]
     assert np.array_equal(r, expected / 24.0)
 
 

@@ -13,7 +13,9 @@ The shapes (all four when none is named):
   thetas evenly spaced over [0.02, 0.16], lengths 1..201 step 10, 20
   sequences per length and 12 repeats per theta, so 96 datasets and fits.
 - gauge: `gauge.epsilon_min_search` on the lambda = 0.99 depolarizing
-  gateset of the `analysis` workload, at 2 and 8 restarts.
+  gateset of the `analysis` workload, at 2 and 8 restarts, and
+  `gauge.counterexample_epsilon_min` on the same lambda over the CLI's
+  default 81 alphas in [0.9, 1.1] (the seed does not enter it).
 - startup: a fresh interpreter that sets up as `perfbench/startup.py` does
   (imports `rblab` and `rblab.cli`, builds the Clifford group, its
   compilation and the coherent_z theta = 0.1 gateset), then fits one
@@ -28,10 +30,11 @@ process pinned to one CPU, so that every item runs here, and with the
 functions of the shape's stages wrapped (in a worker, a wrapper set here
 would read nothing). The pinned pass times each stage and counts its work:
 the kernel's inversion fold (folded indices) and survival step (gate
-applications), the sweep's fits and simulation, and the gauge search's
+applications), the sweep's fits and simulation, the gauge search's
 Nelder-Mead runs (objective evaluations, the count `_nelder_mead`
-returns); the startup shape has no stage, since its work runs in the
-child. Reported per case:
+returns) and the counterexample's scoring of each representation
+(`gauge.infidelity_and_min_choi` calls); the startup shape has no stage,
+since its work runs in the child. Reported per case:
 the median seconds of each pass and of each stage, each stage's work over
 the pass and its rate over the stage's seconds, and a sha1 of each pass's
 results. The run exits 1 when the two sha1s of any case differ. With
@@ -178,7 +181,24 @@ def gauge_search() -> dict:
 
         return Case(call, _gauge_sha1, stages, {"lambda": lam, "restarts": restarts, "workers": protocol._fork_workers(restarts)})
 
-    return {f"restarts_{n}": case(n) for n in (2, 8)}
+    alphas = np.linspace(0.9, 1.1, 81)
+
+    def counterexample(seed: int):
+        return gauge.counterexample_epsilon_min(lam, alphas)
+
+    # its own stage: it never calls `_nelder_mead`, whose rate would be 0 work over 0 s
+    scoring = {"score": Stage(gauge, "infidelity_and_min_choi", "scores", lambda res, *args: 1)}
+    cases = {f"restarts_{n}": case(n) for n in (2, 8)}
+    cases["counterexample_81"] = Case(counterexample, _counterexample_sha1, scoring, {"lambda": lam, "alphas": len(alphas)})
+    return cases
+
+
+def _counterexample_sha1(results) -> str:
+    return _sha1(
+        np.array([r.alpha, r.epsilon, r.min_choi_eigenvalue, r.all_cp, r.r_reference]).tobytes()
+        for rows in results
+        for r in rows
+    )
 
 
 # run as `python -c _STARTUP <src dir> <seed>`; prints the loaded scipy modules, one a line
