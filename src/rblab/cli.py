@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford, gauge, protocol, theory
-from .superop import Superoperator
+from .superop import as_channel
 
 __all__ = ["main", "validate", "run"]
 
@@ -110,7 +110,7 @@ _string = _checked(lambda v: isinstance(v, str), "must be a string")
 _numbers = _checked(lambda v: _is_list(v, _is_number), "must be a non-empty list of numbers")
 _vector = _checked(lambda v: _is_list(v, _is_number, 3), "must be a 3-vector of numbers")
 _matrix = _checked(lambda v: _is_list(v, lambda row: _is_list(row, _is_number, 4), 4),
-                   "must be a 4x4 matrix of numbers", lambda v: np.array(v, dtype=float))
+                   "must be a 4x4 matrix of numbers", as_channel)
 
 
 def _lengths(value) -> tuple[int, ...]:
@@ -146,10 +146,10 @@ _MODELS = {
         lambda p: clifford.GeneralPrimitive.from_error_vectors(p["rotation_x"], p["rotation_y"], p["lambda"]),
     ),
     "depolarizing": ({"lambda": (_number, _REQUIRED)}, lambda p: clifford.GateIndependent.depolarizing(p["lambda"])),
-    "gate_independent": ({"ptm": (_matrix, _REQUIRED)}, lambda p: clifford.GateIndependent(Superoperator(p["ptm"]))),
+    "gate_independent": ({"ptm": (_matrix, _REQUIRED)}, lambda p: clifford.GateIndependent(p["ptm"])),
     "custom": (
         {"gx": (_matrix, _REQUIRED), "gy": (_matrix, _REQUIRED)},
-        lambda p: clifford.CustomPrimitive(gx=Superoperator(p["gx"]), gy=Superoperator(p["gy"])),
+        lambda p: clifford.CustomPrimitive(gx=p["gx"], gy=p["gy"]),
     ),
 }
 
@@ -249,7 +249,7 @@ def _run_sweep(values: dict, resolved: dict, out_dir: Path) -> None:
 def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
     (analysis,) = values["theories"]
     gateset = analysis.gateset
-    transform = gauge.GaugeTransform.random_tp(seed=values["seed"], scale=values["gauge.scale"])
+    transform = values["gauge"]
     eps_before = gauge.agsi_of(gateset)
     eps_after, min_eig = gauge.infidelity_and_min_choi(transform.transform_gateset(gateset))
     wallman = gauge.wallman_gauge(analysis, seed=values["seed"])
@@ -273,7 +273,7 @@ def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
             "min_choi_eigenvalue": wallman.min_choi_eigenvalue,
             "null_space_dim": wallman.null_space_dim,
             "residual": wallman.residual,
-            "l_op_ptm": wallman.l_op.ptm.tolist(),
+            "l_op_ptm": wallman.l_op.tolist(),
         },
         resolved,
     )
@@ -375,9 +375,10 @@ def _parse(config) -> tuple[dict, list[str]]:
     in; "error_model" holds the built gateset. A command that computes
     gamma (theory, gauge-demo, sweep) also needs its gatesets in the
     small-error regime: "theories" holds the `theory.analyse` of each, in
-    order (the error model's, or one per sweep theta). Every section
-    present is checked, whatever the command; the rules across keys once
-    all parse.
+    order (the error model's, or one per sweep theta). For gauge-demo,
+    "gauge" holds the seeded `GaugeTransform.random_tp` of size
+    "gauge.scale". Every section present is checked, whatever the command;
+    the rules across keys once all parse.
     """
     if not isinstance(config, dict):
         return {}, ["config: must be a JSON object"]
@@ -403,6 +404,11 @@ def _parse(config) -> tuple[dict, list[str]]:
         values["theory.lengths"] = values["rb.lengths"]
     if values["sweep.repeats"] is None:
         values["sweep.repeats"] = values["rb.repeats"]
+    if command == "gauge-demo":
+        try:
+            values["gauge"] = gauge.GaugeTransform.random_tp(values["seed"], values["gauge.scale"])
+        except ValueError as exc:
+            problems.append(f"gauge.scale: {exc}")
     checked = [("error_model", values["error_model"])] if command in ("theory", "gauge-demo") else []
     if command == "sweep":
         grid = values["sweep.grid"]
@@ -435,9 +441,10 @@ def _resolved_config(config: dict, values: dict, out_dir: str) -> dict:
 def validate(config: dict) -> list[str]:
     """Check a config before running it; returns a list of violations.
 
-    The config is parsed as `run` parses it, which builds the error model;
-    the gatesets of a command that computes gamma (theory, gauge-demo, sweep)
-    must also be in the small-error regime. Nothing is simulated."""
+    The config is parsed as `run` parses it, which builds the error model
+    (and gauge-demo's gauge transform); the gatesets of a command that
+    computes gamma (theory, gauge-demo, sweep) must also be in the
+    small-error regime. Nothing is simulated."""
     return _parse(config)[1]
 
 

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .superop import (
-    Superoperator,
+    as_channel,
     depolarizing_channel,
     is_cp,
     is_tp,
@@ -49,13 +49,13 @@ _Y_AXIS = np.array([0.0, 1.0, 0.0])
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def ideal_primitives() -> dict[str, Superoperator]:
+def ideal_primitives() -> dict[str, np.ndarray]:
     """Exact PTMs of the two generating pi/2 rotations."""
     prims = {
         "Gx": rotation_channel(_X_AXIS, np.pi / 2.0),
         "Gy": rotation_channel(_Y_AXIS, np.pi / 2.0),
     }
-    return {name: Superoperator(_snap_to_int(s.ptm)) for name, s in prims.items()}
+    return {name: as_channel(_snap_to_int(s)) for name, s in prims.items()}
 
 
 def _snap_to_int(ptm: np.ndarray) -> np.ndarray:
@@ -124,7 +124,7 @@ def _key(ptm: np.ndarray) -> bytes:
     return np.rint(ptm).astype(np.int8).tobytes()
 
 
-def _closure(prims: dict[str, Superoperator]):
+def _closure(prims: dict[str, np.ndarray]):
     """Breadth-first closure of the primitives under composition, from the
     identity: yields each distinct PTM once, in order of discovery, with its
     shortest word (Gx tried before Gy at every step, `prim @ current`)."""
@@ -135,7 +135,7 @@ def _closure(prims: dict[str, Superoperator]):
         current, word = queue.popleft()
         yield current, word
         for name in PRIMITIVE_NAMES:
-            candidate = prims[name].ptm @ current
+            candidate = prims[name] @ current
             key = _key(candidate)
             if key not in seen:
                 seen.add(key)
@@ -149,10 +149,10 @@ def compile_cliffords(group: CliffordGroup) -> tuple[tuple[str, ...], ...]:
     return group.words
 
 
-def _product_along_word(prims: dict[str, Superoperator], word: tuple[str, ...]) -> np.ndarray:
+def _product_along_word(prims: dict[str, np.ndarray], word: tuple[str, ...]) -> np.ndarray:
     ptm = np.eye(4)
     for name in word:
-        ptm = prims[name].ptm @ ptm
+        ptm = prims[name] @ ptm
     return ptm
 
 
@@ -200,30 +200,37 @@ def _split_rotation_vector(rot) -> tuple[float, tuple[float, float, float]]:
     return theta, tuple(rot / theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateIndependent:
     """A single error channel applied before every Clifford at the Clifford
     level (not per primitive), including the identity Clifford."""
 
-    channel: Superoperator
+    channel: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "channel", as_channel(self.channel))
 
     @classmethod
     def depolarizing(cls, lam: float) -> "GateIndependent":
         return cls(depolarizing_channel(lam))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomPrimitive:
     """Explicit imperfect primitive channels."""
 
-    gx: Superoperator
-    gy: Superoperator
+    gx: np.ndarray
+    gy: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "gx", as_channel(self.gx))
+        object.__setattr__(self, "gy", as_channel(self.gy))
 
 
 ErrorModel = Union[Perfect, CoherentZ, GeneralPrimitive, GateIndependent, CustomPrimitive]
 
 
-def _imperfect_primitives(model: ErrorModel, ideal: dict[str, Superoperator]) -> dict[str, Superoperator]:
+def _imperfect_primitives(model: ErrorModel, ideal: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     if isinstance(model, Perfect) or isinstance(model, GateIndependent):
         return dict(ideal)
     if isinstance(model, CoherentZ):
@@ -287,7 +294,7 @@ def build_gateset(
     if isinstance(model, GateIndependent):
         if not is_tp(model.channel) or not is_cp(model.channel):
             raise ValueError("gate-independent error channel is not CPTP")
-        return GateSet(ideal=group, ptms=model.channel.ptm @ group.ptms)
+        return GateSet(ideal=group, ptms=model.channel @ group.ptms)
     return GateSet(ideal=group, ptms=np.stack([_product_along_word(imperfect_prims, word) for word in compilation]))
 
 

@@ -22,10 +22,10 @@ from .superop import (
     PTM_TO_CHOI,
     Effect,
     State,
-    Superoperator,
     _chois,
     _nelder_mead,
     agi,
+    as_channel,
     depolarizing_channel,
     unvec,
     vec,
@@ -37,7 +37,6 @@ __all__ = [
     "CounterexampleRow",
     "EpsilonMinResult",
     "WallmanGauge",
-    "agsi",
     "agsi_of",
     "infidelity_and_min_choi",
     "m_alpha",
@@ -83,9 +82,6 @@ class GaugeTransform:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         return cls(_tp_form(scale * rng.standard_normal((3, 4))))
 
-    def transform_channel(self, s: Superoperator) -> Superoperator:
-        return Superoperator(self.m @ s.ptm @ self.m_inv)
-
     def transform_spam(self, spam: Spam) -> Spam:
         """The state goes to M rho and the effect to M^-T E, so every
         circuit probability is unchanged."""
@@ -100,15 +96,6 @@ class GaugeTransform:
         return GateSet(gateset.ideal, self.m @ gateset.ptms @ self.m_inv)
 
 
-def agsi(imperfect, ideal) -> float:
-    """Average gateset infidelity: mean AGI of each gate to its target."""
-    imperfect = list(imperfect)
-    ideal = list(ideal)
-    if len(imperfect) != len(ideal):
-        raise ValueError("gatesets must have the same size")
-    return float(np.mean([agi(t, i) for t, i in zip(imperfect, ideal)]))
-
-
 def agsi_of(gateset: GateSet) -> float:
     """The average gateset infidelity of `gateset` to its ideal gates."""
     return infidelity_and_min_choi(gateset)[0]
@@ -118,7 +105,7 @@ def infidelity_and_min_choi(gateset: GateSet) -> tuple[float, float]:
     """Score a representation: its average gateset infidelity to the ideal
     gates and the smallest Choi eigenvalue over its gates (negative when
     some gate is not completely positive). One pass over the PTM stack,
-    with the bits of `agsi` and `choi_eigenvalues` gate by gate."""
+    with the bits of `agi` and `choi_eigenvalues` gate by gate."""
     group = gateset.ideal
     traces = np.einsum("nij,nji->n", gateset.ptms, group.ptms[group.inverse])
     min_eig = np.linalg.eigvalsh(_chois(gateset.ptms))[:, 0].min()
@@ -158,7 +145,7 @@ def counterexample_epsilon_min(lam: float, alpha_grid) -> list[CounterexampleRow
     if not (0.0 <= lam < 1.0):
         raise ValueError("lam must lie in [0, 1)")
     gateset = build_gateset(GateIndependent.depolarizing(lam))
-    r_reference = agi(depolarizing_channel(lam), Superoperator(np.eye(4)))
+    r_reference = agi(depolarizing_channel(lam), np.eye(4))
     rows = []
     for alpha in np.asarray(alpha_grid, dtype=float):
         eps, min_eig = infidelity_and_min_choi(m_alpha(float(alpha)).transform_gateset(gateset))
@@ -273,9 +260,9 @@ def epsilon_min_search(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WallmanGauge:
-    l_op: Superoperator
+    l_op: np.ndarray
     gamma: float
     r_gamma: float
     epsilon_in_gauge: float
@@ -301,7 +288,7 @@ def wallman_gauge(analysis: GatesetTheory, seed: int = 0) -> WallmanGauge:
     l_primed = analysis.l_map.reshape(4, 4, 4, 4).transpose(3, 2, 1, 0).reshape(16, 16)
     gamma = analysis.gamma.gamma
 
-    system = l_primed - np.kron(depolarizing_channel(gamma).ptm, np.eye(4))
+    system = l_primed - np.kron(depolarizing_channel(gamma), np.eye(4))
     u, s, vh = np.linalg.svd(system)
     null_mask = s <= 1e-8 * s[0]
     null_dim = int(null_mask.sum())
@@ -335,13 +322,12 @@ def wallman_gauge(analysis: GatesetTheory, seed: int = 0) -> WallmanGauge:
     if smallest_sv < 1e-10:
         raise ValueError("no invertible combination found in the null space")
 
-    l_op = Superoperator(best)
-    residual = float(np.linalg.norm(unvec(l_primed @ vec(best)) - best @ depolarizing_channel(gamma).ptm))
+    residual = float(np.linalg.norm(unvec(l_primed @ vec(best)) - best @ depolarizing_channel(gamma)))
 
     l_inverse_gauge = GaugeTransform(np.linalg.inv(_tp_normalize(best)))
     eps, min_eig = infidelity_and_min_choi(l_inverse_gauge.transform_gateset(gateset))
     return WallmanGauge(
-        l_op=l_op,
+        l_op=as_channel(best),
         gamma=gamma,
         r_gamma=analysis.gamma.r_gamma,
         epsilon_in_gauge=eps,

@@ -2,18 +2,19 @@
 
 Conventions, fixed package-wide:
 
-* Channels are real matrices in the normalized Pauli basis
-  {I, X, Y, Z} / sqrt(2), with row/column 0 the identity component. A channel
-  is trace preserving iff its first row is (1, 0, ..., 0) and unital iff its
-  first column is (1, 0, ..., 0)^T.
+* A channel is its PTM: a read-only 4x4 float64 array in the normalized
+  Pauli basis {I, X, Y, Z} / sqrt(2), with row/column 0 the identity
+  component, and `A @ B` applies B first, then A. A channel is trace
+  preserving iff its first row is (1, 0, ..., 0) and unital iff its first
+  column is (1, 0, ..., 0)^T.
 * States and measurement effects are real coefficient vectors in the same
   basis; Born probabilities are plain dot products of those vectors.
 * Matrices are vectorized by column stacking, so vec(A X B) =
   (B^T kron A) vec(X).
 
 The package is one qubit only: the Hilbert-space dimension is 2 throughout,
-so every PTM is 4x4 and every state or effect a 4-vector, and the types
-reject any other shape.
+so every PTM is 4x4 and every state or effect a 4-vector: `as_channel`
+rejects any other PTM shape, and `State` and `Effect` any other vector.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Superoperator",
+    "as_channel",
     "State",
     "Effect",
     "PAULI_BASIS",
@@ -64,22 +65,14 @@ def unvec(vector: np.ndarray) -> np.ndarray:
     return np.asarray(vector).reshape(4, 4).T
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """A linear map on one-qubit operators, stored as its real 4x4 PTM."""
-
-    ptm: np.ndarray
-
-    def __post_init__(self):
-        ptm = np.array(self.ptm, dtype=float)
-        if ptm.shape != (4, 4):
-            raise ValueError(f"PTM must be 4x4 (dimension 2), got shape {ptm.shape}")
-        ptm.setflags(write=False)
-        object.__setattr__(self, "ptm", ptm)
-
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        """Composition: (A @ B) applies B first, then A."""
-        return Superoperator(self.ptm @ other.ptm)
+def as_channel(matrix) -> np.ndarray:
+    """A read-only float copy of a one-qubit PTM: the one check of the 4x4
+    shape that every function taking a channel makes."""
+    ptm = np.array(matrix, dtype=float)
+    if ptm.shape != (4, 4):
+        raise ValueError(f"PTM must be 4x4 (dimension 2), got shape {ptm.shape}")
+    ptm.setflags(write=False)
+    return ptm
 
 
 def _coeff_vector(coeffs) -> np.ndarray:
@@ -89,17 +82,6 @@ def _coeff_vector(coeffs) -> np.ndarray:
         raise ValueError(f"coefficient vector must have 4 entries (dimension 2), got shape {coeffs.shape}")
     coeffs.setflags(write=False)
     return coeffs
-
-
-def _coeffs_of_operator(op: np.ndarray, what: str) -> np.ndarray:
-    """Real Pauli-basis coefficients Tr[P_j op] of a Hermitian 2x2 operator."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"{what} must be 2x2 (dimension 2), got shape {op.shape}")
-    coeffs = np.einsum("jab,ba->j", PAULI_BASIS, op)
-    if np.max(np.abs(coeffs.imag)) > STRUCTURAL_TOL:
-        raise ValueError(f"{what} is not Hermitian")
-    return coeffs.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +105,6 @@ class State:
         """|0><0|, the +1 eigenstate of sigma_z."""
         return cls(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
 
-    @classmethod
-    def from_density_matrix(cls, rho: np.ndarray) -> "State":
-        return cls(_coeffs_of_operator(rho, "density matrix"))
-
 
 @dataclass(frozen=True, eq=False)
 class Effect:
@@ -148,12 +126,8 @@ class Effect:
         """Projector onto the +1 eigenstate of sigma_z."""
         return cls(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
 
-    @classmethod
-    def from_operator(cls, op: np.ndarray) -> "Effect":
-        return cls(_coeffs_of_operator(op, "effect operator"))
 
-
-def rotation_channel(axis: np.ndarray, angle: float) -> Superoperator:
+def rotation_channel(axis: np.ndarray, angle: float) -> np.ndarray:
     """Unitary rotation channel exp(-i*angle*(axis . sigma)/2) acting by conjugation.
 
     The axis must be a unit 3-vector (|axis| = 1 within 1e-12).
@@ -166,17 +140,17 @@ def rotation_channel(axis: np.ndarray, angle: float) -> Superoperator:
     h = axis[0] * _SIGMA_X + axis[1] * _SIGMA_Y + axis[2] * _SIGMA_Z
     u = np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * h
     ptm = np.einsum("iab,bc,jcd,da->ij", PAULI_BASIS, u, PAULI_BASIS, u.conj().T)
-    return Superoperator(ptm.real)
+    return as_channel(ptm.real)
 
 
-def depolarizing_channel(lam: float) -> Superoperator:
+def depolarizing_channel(lam: float) -> np.ndarray:
     """Depolarizing channel rho -> (1 - lam) I/2 + lam rho, PTM diag(1, lam, lam, lam)."""
     if not (-1.0 / 3.0 <= lam <= 1.0):
         raise ValueError(
             f"depolarizing parameter {lam} outside [-1/3, 1]: the minimal Choi "
             "eigenvalue (1 - lam)/2 or (1 + 3 lam)/2 would be negative"
         )
-    return Superoperator(np.diag([1.0, lam, lam, lam]))
+    return as_channel(np.diag([1.0, lam, lam, lam]))
 
 
 # --------------------------------------------------------------------------
@@ -197,27 +171,27 @@ def _chois(ptms: np.ndarray) -> np.ndarray:
     return np.matmul(PTM_TO_CHOI, ptms.reshape(-1, 16, 1)).reshape(-1, 4, 4)
 
 
-def to_choi(s: Superoperator) -> np.ndarray:
+def to_choi(s: np.ndarray) -> np.ndarray:
     """The 4x4 complex Choi matrix sum_ij B_ij (x) S(B_ij) over matrix units
     B_ij, input factor first. It is unnormalized: the identity channel has
     Choi trace 2."""
-    return _chois(s.ptm)[0]
+    return _chois(as_channel(s))[0]
 
 
-def choi_eigenvalues(s: Superoperator) -> np.ndarray:
+def choi_eigenvalues(s: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Choi matrix, sorted ascending. A real PTM has an
     exactly Hermitian Choi matrix, so the spectrum is real."""
     return np.linalg.eigvalsh(to_choi(s))
 
 
-def is_cp(s: Superoperator, tol: float = STRUCTURAL_TOL) -> bool:
+def is_cp(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """Complete positivity: all Choi eigenvalues >= -tol."""
     return bool(choi_eigenvalues(s)[0] >= -tol)
 
 
-def is_tp(s: Superoperator, tol: float = STRUCTURAL_TOL) -> bool:
+def is_tp(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """Trace preservation: first PTM row equals (1, 0, ..., 0) within tol."""
-    row = s.ptm[0].copy()
+    row = as_channel(s)[0].copy()
     row[0] -= 1.0
     return bool(np.max(np.abs(row)) <= tol)
 
@@ -227,17 +201,17 @@ def is_tp(s: Superoperator, tol: float = STRUCTURAL_TOL) -> bool:
 # --------------------------------------------------------------------------
 
 
-def agi(g_tilde: Superoperator, g: Superoperator) -> float:
+def agi(g_tilde: np.ndarray, g: np.ndarray) -> float:
     """Average gate infidelity of g_tilde to the target g.
 
     Computed as (4 - Tr(L)) / 6 with L = g_tilde g^{-1}, which equals one
     minus the Haar-averaged state fidelity for unitary targets.
     """
     try:
-        g_inv = np.linalg.inv(g.ptm)
+        g_inv = np.linalg.inv(as_channel(g))
     except np.linalg.LinAlgError as exc:
         raise ValueError("target channel is singular") from exc
-    trace = np.trace(g_tilde.ptm @ g_inv)
+    trace = np.trace(as_channel(g_tilde) @ g_inv)
     return float((4 - trace) / 6)
 
 
@@ -268,7 +242,7 @@ def _input_value(choi: np.ndarray, x: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(k @ choi @ k.conj().T)).sum())
 
 
-def diamond_bracket(a: Superoperator, b: Superoperator, seed: int = 0) -> tuple[float, float]:
+def diamond_bracket(a: np.ndarray, b: np.ndarray, seed: int = 0) -> tuple[float, float]:
     """Certified bracket (lower, upper) on the diamond distance ||A - B||_diamond.
 
     With J the Choi matrix of A - B (input factor first) and |J| = J+ + J-,
@@ -284,8 +258,8 @@ def diamond_bracket(a: Superoperator, b: Superoperator, seed: int = 0) -> tuple[
     `seed`. The two ends meet on unital differences near the identity, such
     as the error maps of the gatesets studied here.
     """
-    delta = Superoperator(a.ptm - b.ptm)
-    if np.max(np.abs(delta.ptm)) < 1e-15:
+    delta = as_channel(a) - as_channel(b)
+    if np.max(np.abs(delta)) < 1e-15:
         return 0.0, 0.0
     choi = to_choi(delta)
     choi = 0.5 * (choi + choi.conj().T)
@@ -384,7 +358,7 @@ def _nelder_mead(func, simplex, *, xatol: float, fatol: float, maxfev: int, maxi
     return sim[0], np.min(fsim), evaluations
 
 
-def diamond_distance(a: Superoperator, b: Superoperator, seed: int = 0) -> float:
+def diamond_distance(a: np.ndarray, b: np.ndarray, seed: int = 0) -> float:
     """Diamond norm distance ||A - B||_diamond, as the lower end of
     :func:`diamond_bracket`: a value attained by an input state, certified
     to within the bracket's gap.

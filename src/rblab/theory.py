@@ -16,13 +16,12 @@ Two decay predictors for a gateset:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .clifford import GateSet, average_error_map, error_maps
-from .protocol import Spam, sequence_survivals
-from .superop import Superoperator, diamond_bracket, vec, unvec
+from .protocol import Spam
+from .superop import diamond_bracket, vec, unvec
 
 __all__ = [
     "SpectralDecay",
@@ -36,7 +35,6 @@ __all__ = [
     "analyse",
     "predicted_decay",
     "delta_diamond",
-    "brute_force_pm",
 ]
 
 _EIG_COND_LIMIT = 1e8
@@ -227,21 +225,10 @@ def predicted_decay(analysis: GatesetTheory, spam: Spam | None = None, lengths=(
 def delta_diamond(gateset: GateSet, seed: int = 0) -> DeltaBound:
     """Half the average diamond distance between each gate's error map and
     the average error map."""
-    avg = Superoperator(average_error_map(gateset))
-    brackets = np.array(
-        [diamond_bracket(Superoperator(m), avg, seed=seed + i) for i, m in enumerate(error_maps(gateset))]
-    )
+    avg = average_error_map(gateset)
+    brackets = np.array([diamond_bracket(m, avg, seed=seed + i) for i, m in enumerate(error_maps(gateset))])
     return DeltaBound(
         delta_diamond=float(brackets[:, 0].mean() / 2.0),
         per_gate_distances=brackets[:, 0],
         per_gate_upper=brackets[:, 1],
     )
-
-
-def brute_force_pm(gateset: GateSet, spam: Spam | None = None, m: int = 1) -> float:
-    """Ground truth for small m: enumerate all |C|**m sequences exactly."""
-    spam = spam if spam is not None else Spam.ideal()
-    if m > 3:
-        raise ValueError("brute force enumeration is capped at m = 3")
-    sequences = np.array(list(product(range(len(gateset.ideal)), repeat=m)), dtype=np.intp)
-    return float(np.mean(sequence_survivals(gateset, [sequences], spam)[0]))

@@ -1,5 +1,6 @@
 import os
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from rblab import (
     GateIndependent,
     GeneralPrimitive,
     Perfect,
+    Effect,
     Spam,
+    State,
+    agi,
     build_gateset,
     compile_cliffords,
     generate_clifford_group,
+    sequence_survivals,
 )
-from rblab.superop import PAULI_BASIS
+from rblab.superop import PAULI_BASIS, STRUCTURAL_TOL
 
 
 def _reference_survivals(gateset, sequences, spam=None):
@@ -71,7 +76,7 @@ def _agi_haar_oracle(g_tilde, g, n_samples=100_000, seed=0, with_stderr=False):
         z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         coeffs = np.einsum("ni,jik,nk->nj", z.conj(), PAULI_BASIS, z).real
-        fvals = np.einsum("nj,nj->n", coeffs @ g_tilde.ptm.T, coeffs @ g.ptm.T)
+        fvals = np.einsum("nj,nj->n", coeffs @ g_tilde.T, coeffs @ g.T)
         total += float(fvals.sum())
         total_sq += float((fvals * fvals).sum())
         remaining -= n
@@ -87,6 +92,72 @@ def _agi_haar_oracle(g_tilde, g, n_samples=100_000, seed=0, with_stderr=False):
 @pytest.fixture(scope="session")
 def agi_haar_oracle():
     return _agi_haar_oracle
+
+
+def _brute_force_pm(gateset, spam=None, m=1):
+    """Average survival at length m over all |C|**m sequences, enumerated
+    and run through `rblab.protocol.sequence_survivals`: ground truth for
+    small m, as a check of the exact and sampled decays."""
+    spam = spam if spam is not None else Spam.ideal()
+    if m > 3:
+        raise ValueError("brute force enumeration is capped at m = 3")
+    sequences = np.array(list(product(range(len(gateset.ideal)), repeat=m)), dtype=np.intp)
+    return float(np.mean(sequence_survivals(gateset, [sequences], spam)[0]))
+
+
+@pytest.fixture(scope="session")
+def brute_force_pm():
+    return _brute_force_pm
+
+
+def _transform_channel(transform, channel):
+    """One channel conjugated by a `GaugeTransform`, M S M^-1, as a per-gate
+    check of `GaugeTransform.transform_gateset`."""
+    return transform.m @ channel @ transform.m_inv
+
+
+@pytest.fixture(scope="session")
+def transform_channel():
+    return _transform_channel
+
+
+def _agsi(imperfect, ideal):
+    """Average gateset infidelity as the mean `agi` of each gate to its
+    target, one channel at a time, as a check of the stacked scorer
+    `rblab.gauge.infidelity_and_min_choi`."""
+    imperfect = list(imperfect)
+    ideal = list(ideal)
+    if len(imperfect) != len(ideal):
+        raise ValueError("gatesets must have the same size")
+    return float(np.mean([agi(t, i) for t, i in zip(imperfect, ideal)]))
+
+
+@pytest.fixture(scope="session")
+def agsi():
+    return _agsi
+
+
+def _coeffs_of_operator(op, what):
+    """Real Pauli-basis coefficients Tr[P_j op] of a Hermitian 2x2 operator."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"{what} must be 2x2 (dimension 2), got shape {op.shape}")
+    coeffs = np.einsum("jab,ba->j", PAULI_BASIS, op)
+    if np.max(np.abs(coeffs.imag)) > STRUCTURAL_TOL:
+        raise ValueError(f"{what} is not Hermitian")
+    return coeffs.real
+
+
+@pytest.fixture(scope="session")
+def state_from_density_matrix():
+    """A `State` from its 2x2 density matrix."""
+    return lambda rho: State(_coeffs_of_operator(rho, "density matrix"))
+
+
+@pytest.fixture(scope="session")
+def effect_from_operator():
+    """An `Effect` from its 2x2 operator."""
+    return lambda op: Effect(_coeffs_of_operator(op, "effect operator"))
 
 
 def _reference_ptm_to_choi():

@@ -15,13 +15,11 @@ from rblab import (
     GaugeTransform,
     RBConfig,
     Spam,
-    Superoperator,
     agi,
     agsi_of,
     analyse,
     build_gateset,
     build_l_map,
-    brute_force_pm,
     counterexample_epsilon_min,
     delta_diamond,
     estimate_r,
@@ -141,7 +139,7 @@ def _enumerated_population(gateset, m, reference_survivals):
     return float(values.mean()), float(values.std(ddof=0))
 
 
-def test_criterion_5_oracle_equivalence(random_gatesets, reference_survivals):
+def test_criterion_5_oracle_equivalence(random_gatesets, reference_survivals, brute_force_pm):
     for index, gateset in enumerate(random_gatesets):
         dataset = run_rb(gateset, RBConfig(lengths=(1, 2), k_per_length=K_PER_LENGTH, seed=600 + index))
         for m, sampled in zip(dataset.lengths, dataset.means):
@@ -245,7 +243,7 @@ def test_criterion_8_exponentiality(
     print(f"ACCEPTANCE 8 PASS: worst |C| max(m)/B = {worst_ratio:.4f}; orders agree within r_std")
 
 
-def test_criterion_9_counterexample(depolarizing_gateset, group):
+def test_criterion_9_counterexample(depolarizing_gateset, group, transform_channel):
     lam = 0.99
     rows = counterexample_epsilon_min(lam, np.linspace(0.9, 1.1, 81))
     winners = [
@@ -261,7 +259,7 @@ def test_criterion_9_counterexample(depolarizing_gateset, group):
         for tilde, ideal in zip(depolarizing_gateset.ptms, group.ptms):
             if abs(ideal[2, 2]) == 1.0:
                 continue
-            value = agi(transform.transform_channel(Superoperator(tilde)), Superoperator(ideal))
+            value = agi(transform_channel(transform, tilde), ideal)
             worst_formula_error = max(worst_formula_error, abs(value - formula))
     assert worst_formula_error < 1e-12
     print(

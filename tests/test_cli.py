@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import rblab.cli
-from rblab import CoherentZ, analyse, build_gateset
+from rblab import CoherentZ, analyse, build_gateset, depolarizing_channel
 from rblab.cli import main, run, validate
+from rblab.clifford import ideal_primitives
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -88,6 +89,7 @@ NOT_CP_PTM = np.diag([1.0, 1.5, 1.5, 1.5]).tolist()
         (_with(BASE_COUNTER, counterexample={"alpha_grid": {"start": -1, "stop": 1, "num": "x"}}),
          "counterexample.alpha_grid"),
         (_with(BASE_GAUGE, gauge={"scale": "big"}), "gauge.scale"),
+        (_with(BASE_GAUGE, gauge={"scale": 1e200}), "gauge.scale: gauge transform is too ill-conditioned"),
         (dict(BASE_SIMULATE, seed=True), "seed"),
         (_with(BASE_SIMULATE, rb={"k_per_length": True}), "rb.k_per_length"),
         (_with(BASE_SWEEP, rb={"repeats": True}), "rb.repeats"),
@@ -113,8 +115,8 @@ NOT_CP_PTM = np.diag([1.0, 1.5, 1.5, 1.5]).tolist()
     ],
     ids=["simulate-one-repeat", "sweep-one-repeat", "too-few-lengths-for-fit", "repeated-lengths", "zero-step",
          "zero-start", "empty-range", "theory-zero-step", "alpha-grid-zero", "alpha-grid-string",
-         "alpha-grid-bad-object", "gauge-scale-string", "bool-seed", "bool-k-per-length", "bool-repeats",
-         "bool-length", "bool-theta", "bool-lambda", "bool-rotation", "bool-sweep-grid", "unused-section-unknown-key",
+         "alpha-grid-bad-object", "gauge-scale-string", "gauge-scale-ill-conditioned", "bool-seed",
+         "bool-k-per-length", "bool-repeats", "bool-length", "bool-theta", "bool-lambda", "bool-rotation", "bool-sweep-grid", "unused-section-unknown-key",
          "depolarizing-not-cp", "general-not-cp", "gate-independent-not-cp", "custom-not-cp", "alpha-grid-empty",
          "negative-seed", "theory-perfect", "gauge-demo-perfect", "sweep-theta-zero", "key-of-another-model"],
 )
@@ -351,6 +353,55 @@ def test_gauge_demo_outputs(tmp_path):
     wallman = json.loads((out / "wallman.json").read_text())
     assert abs(wallman["epsilon_in_gauge"] - wallman["r_gamma"]) < 1e-8
     assert wallman["residual"] < 1e-8
+
+
+def test_gauge_demo_builds_its_transform_once(tmp_path, monkeypatch):
+    # the run takes the transform that validation built, seeded by the config
+    transforms = _counting(monkeypatch, rblab.cli.gauge.GaugeTransform, "random_tp")
+    path = _write_config(tmp_path, BASE_GAUGE)
+    assert main(["--config", str(path), "--validate-only"]) == 0
+    assert len(transforms) == 1
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(transforms) == 2
+
+
+def _theory_outputs(tmp_path, error_model):
+    """The theory command's numbers on an error model: its CSV rows and its
+    summary without the echoed config."""
+    out = tmp_path / error_model["name"]
+    run(dict(THEORY_CONFIG, error_model=error_model), out)
+    rows = (out / "theory_decay.csv").read_text().splitlines()[1:]
+    summary = json.loads((out / "theory_summary.json").read_text())
+    assert summary.pop("config")["error_model"] == error_model
+    return rows, summary
+
+
+def test_gate_independent_ptm_runs_as_depolarizing(tmp_path):
+    # bound: byte for byte; the error models differ only in how the PTM is given
+    lam = 0.99
+    ptm = np.diag([1.0, lam, lam, lam]).tolist()
+    given = _theory_outputs(tmp_path, {"name": "gate_independent", "ptm": ptm})
+    named = _theory_outputs(tmp_path, {"name": "depolarizing", "lambda": lam})
+    assert given == named
+
+
+def test_custom_primitives_run_as_general_without_rotations(tmp_path):
+    # bound: 1e-12 on every number; the general model composes a zero-angle
+    # rotation PTM, which need not be the identity to the last bit
+    lam = 0.99
+    prims = ideal_primitives()
+    gx, gy = ((depolarizing_channel(lam) @ prims[name]).tolist() for name in ("Gx", "Gy"))
+    custom_rows, custom = _theory_outputs(tmp_path, {"name": "custom", "gx": gx, "gy": gy})
+    general_rows, general = _theory_outputs(
+        tmp_path, {"name": "general", "rotation_x": [0, 0, 0], "rotation_y": [0, 0, 0], "lambda": lam}
+    )
+    assert custom_rows[0] == general_rows[0] == "m,p_exact,p_predicted,bound_lo,bound_hi"
+    numbers = [[float(x) for x in row.split(",")] for row in custom_rows[1:]]
+    assert np.allclose(numbers, [[float(x) for x in row.split(",")] for row in general_rows[1:]], rtol=0, atol=1e-12)
+    assert custom.keys() == general.keys()
+    for key in ("gamma", "r_gamma", "delta_diamond", "seed"):
+        assert abs(custom[key] - general[key]) <= 1e-12, key
+    assert np.allclose(custom["eigenvalues"], general["eigenvalues"], rtol=0, atol=1e-12)
 
 
 def test_counterexample_outputs(tmp_path):

@@ -14,7 +14,6 @@ from rblab import (
     Perfect,
     RBConfig,
     State,
-    Superoperator,
     agi,
     analyse,
     average_error_map,
@@ -23,9 +22,10 @@ from rblab import (
     error_maps,
     exact_decay,
     run_rb,
+    wallman_gauge,
 )
 from rblab.clifford import ideal_primitives
-from rblab.superop import rotation_channel
+from rblab.superop import depolarizing_channel, rotation_channel
 
 
 def test_group_has_24_signed_permutations(group):
@@ -75,7 +75,7 @@ def test_index_level_associativity_sample(group):
 
 def _bfs_shortest_lengths(group):
     """Independent BFS oracle for shortest word lengths over {Gx, Gy}."""
-    prims = [p.ptm for _, p in sorted(ideal_primitives().items())]
+    prims = [p for _, p in sorted(ideal_primitives().items())]
     lengths = {np.eye(4).astype(np.int8).tobytes(): 0}
     queue = deque([np.eye(4)])
     while queue:
@@ -103,12 +103,12 @@ def test_compilation_table_reproduces_all_ptms(group, table):
     prims = ideal_primitives()
     assert table[group.identity_index] == ()
     gx = prims["Gx"]
-    gx_index = next(i for i, ptm in enumerate(group.ptms) if np.array_equal(ptm, gx.ptm))
+    gx_index = next(i for i, ptm in enumerate(group.ptms) if np.array_equal(ptm, gx))
     assert table[gx_index] == ("Gx",)
     for word, target in zip(group.words, group.ptms):
         ptm = np.eye(4)
         for name in word:
-            ptm = prims[name].ptm @ ptm
+            ptm = prims[name] @ ptm
         assert np.array_equal(ptm, target)
 
 
@@ -135,14 +135,14 @@ def _is_unitary_channel(ptm, tol):
 def test_coherent_gateset_stays_unitary(coherent_gateset, group):
     for i, (built, ideal) in enumerate(zip(coherent_gateset.ptms, group.ptms)):
         assert _is_unitary_channel(built, tol=1e-9)
-        infidelity = agi(Superoperator(built), Superoperator(ideal))
+        infidelity = agi(built, ideal)
         if i == group.identity_index:
             assert infidelity < 1e-14  # empty word: identity stays perfect
         else:
             assert infidelity > 0
     for em in error_maps(coherent_gateset):
         assert _is_unitary_channel(em, tol=1e-9)
-    eps = np.mean([agi(Superoperator(t), Superoperator(i)) for t, i in zip(coherent_gateset.ptms, group.ptms)])
+    eps = np.mean([agi(t, i) for t, i in zip(coherent_gateset.ptms, group.ptms)])
     assert 5e-4 < eps < 5e-3
 
 
@@ -172,7 +172,7 @@ def test_alternate_compilation_changes_imperfect_not_ideal(group, table):
 
 
 def test_build_gateset_rejects_non_cptp_primitives(group, table):
-    bad = Superoperator(np.diag([1.0, 1.4, 1.4, 1.4]))
+    bad = np.diag([1.0, 1.4, 1.4, 1.4])
     with pytest.raises(ValueError, match="CPTP"):
         build_gateset(CustomPrimitive(gx=bad, gy=bad), group, table)
     with pytest.raises(ValueError, match="CPTP"):
@@ -199,17 +199,18 @@ def test_build_gateset_stacks_the_per_gate_products(group, table, coherent_gates
     channel = np.diag([1.0, lam, lam, lam])
     assert np.array_equal(depolarizing_gateset.ptms, np.stack([channel @ ptm for ptm in group.ptms]))
     prims = ideal_primitives()
-    detuning = rotation_channel(np.array([0.0, 0.0, 1.0]), 0.1).ptm
+    detuning = rotation_channel(np.array([0.0, 0.0, 1.0]), 0.1)
     for ptm, word in zip(coherent_gateset.ptms, table):
         expected = np.eye(4)
         for name in word:
-            expected = detuning @ prims[name].ptm @ expected
+            expected = detuning @ prims[name] @ expected
         assert np.array_equal(ptm, expected)
 
 
 def _array_holders(group, gateset):
     return [
-        Superoperator(np.eye(4)),
+        GateIndependent.depolarizing(0.9),
+        CustomPrimitive(np.eye(4), np.eye(4)),
         State.z_plus(),
         Effect.z_plus(),
         group,
@@ -219,6 +220,7 @@ def _array_holders(group, gateset):
         analyse(gateset),
         delta_diamond(gateset),
         GaugeTransform(np.eye(4)),
+        wallman_gauge(analyse(gateset)),
     ]
 
 
@@ -228,3 +230,23 @@ def test_array_dataclasses_compare_by_identity(group, coherent_gateset):
         assert (first == second) is (first is second)
         assert isinstance(hash(first), int)
         assert first in [second, first]
+
+
+def test_channel_holders_keep_a_read_only_copy(group):
+    # the channel constructors, the error models and the Wallman gauge hold
+    # each channel as `as_channel` returns it; the models reject any other
+    # PTM shape
+    source = np.diag([1.0, 0.9, 0.9, 0.9])
+    dep = GateIndependent(source)
+    custom = CustomPrimitive(gx=source.tolist(), gy=source)
+    source[1, 1] = 0.5  # each holds its own copy
+    wallman = wallman_gauge(analyse(build_gateset(dep, group)))
+    made = (rotation_channel(np.array([0.0, 0.0, 1.0]), 0.3), depolarizing_channel(0.9), *ideal_primitives().values())
+    for channel in (dep.channel, custom.gx, custom.gy, wallman.l_op, *made):
+        assert channel.shape == (4, 4) and channel.dtype == np.float64 and not channel.flags.writeable
+    assert dep.channel[1, 1] == custom.gy[1, 1] == 0.9
+    for bad in (np.eye(3), np.eye(16)):
+        with pytest.raises(ValueError, match="4x4"):
+            GateIndependent(bad)
+        with pytest.raises(ValueError, match="4x4"):
+            CustomPrimitive(np.eye(4), bad)

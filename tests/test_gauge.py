@@ -6,9 +6,7 @@ import pytest
 from rblab import (
     GaugeTransform,
     Spam,
-    Superoperator,
     agi,
-    agsi,
     agsi_of,
     analyse,
     build_l_map,
@@ -44,17 +42,19 @@ def test_gauge_transform_validation():
         GaugeTransform.random_tp(seed=0, scale=np.nan)
 
 
-def test_transform_gateset_equals_per_gate_transform_channel(coherent_gateset, general_gateset, random_gatesets):
+def test_transform_gateset_equals_per_gate_transform_channel(
+    coherent_gateset, general_gateset, random_gatesets, transform_channel
+):
     for seed, gateset in enumerate([coherent_gateset, general_gateset, *random_gatesets]):
         transform = GaugeTransform.random_tp(seed=seed, scale=0.3)
-        per_gate = [transform.transform_channel(Superoperator(c)).ptm for c in gateset.ptms]
+        per_gate = [transform_channel(transform, c) for c in gateset.ptms]
         transformed = transform.transform_gateset(gateset)
         assert transformed.ideal is gateset.ideal
         assert np.array_equal(transformed.ptms, per_gate)
 
 
 def test_scorer_equals_per_gate_definitions(
-    perfect_gateset, coherent_gateset, general_gateset, depolarizing_gateset, random_gatesets
+    perfect_gateset, coherent_gateset, general_gateset, depolarizing_gateset, random_gatesets, agsi
 ):
     # the stacked scorer keeps agsi's and choi_eigenvalues' bits gate by gate,
     # in the standard representation and in seeded random TP gauges
@@ -62,8 +62,7 @@ def test_scorer_equals_per_gate_definitions(
     for index, gateset in enumerate(gatesets):
         for scale in (0.0, 0.1, 0.4):
             represented = GaugeTransform.random_tp(seed=100 + index, scale=scale).transform_gateset(gateset)
-            gates = [Superoperator(c) for c in represented.ptms]
-            ideal = [Superoperator(c) for c in represented.ideal.ptms]
+            gates, ideal = represented.ptms, represented.ideal.ptms
             expected = (agsi(gates, ideal), min(float(choi_eigenvalues(c)[0]) for c in gates))
             assert infidelity_and_min_choi(represented) == expected
             assert agsi_of(represented) == expected[0]
@@ -92,7 +91,7 @@ def test_gauge_preserves_circuit_probabilities(coherent_gateset):
 def test_gauge_changes_epsilon_but_not_spectrum(coherent_gateset):
     base_spectrum = np.linalg.eigvals(build_l_map(coherent_gateset))
     base_epsilon = agsi_of(coherent_gateset)
-    strong = GaugeTransform(rotation_channel(np.array([0.0, 1.0, 0.0]), 0.9).ptm)
+    strong = GaugeTransform(rotation_channel(np.array([0.0, 1.0, 0.0]), 0.9))
     transformed = strong.transform_gateset(coherent_gateset)
     new_spectrum = np.linalg.eigvals(build_l_map(transformed))
     assert _multiset_distance(base_spectrum, new_spectrum) < 1e-9
@@ -111,29 +110,29 @@ def _multiset_distance(a, b):
     return worst
 
 
-def test_same_transform_on_both_gatesets_preserves_epsilon(coherent_gateset):
+def test_same_transform_on_both_gatesets_preserves_epsilon(coherent_gateset, transform_channel, agsi):
     transform = GaugeTransform.random_tp(seed=5, scale=0.3)
-    tilde = [transform.transform_channel(Superoperator(c)) for c in coherent_gateset.ptms]
-    ideal = [transform.transform_channel(Superoperator(c)) for c in coherent_gateset.ideal.ptms]
+    tilde = [transform_channel(transform, c) for c in coherent_gateset.ptms]
+    ideal = [transform_channel(transform, c) for c in coherent_gateset.ideal.ptms]
     before = agsi_of(coherent_gateset)
     after = agsi(tilde, ideal)
     assert abs(before - after) < 1e-12
 
 
 def test_unitary_gauge_gives_perfect_cliffords_nonzero_epsilon(perfect_gateset):
-    unitary = GaugeTransform(rotation_channel(np.array([0.0, 0.0, 1.0]), 0.7).ptm)
+    unitary = GaugeTransform(rotation_channel(np.array([0.0, 0.0, 1.0]), 0.7))
     transformed = unitary.transform_gateset(perfect_gateset)
     assert agsi_of(perfect_gateset) == 0.0
     assert agsi_of(transformed) > 1e-3
 
 
-def test_m_alpha_properties():
+def test_m_alpha_properties(transform_channel):
     assert np.allclose(m_alpha(1.0).m, np.eye(4))
     assert np.allclose(m_alpha(1.3).m, np.diag([1.0, 1.0, 1.3, 1.0]))
     with pytest.raises(ValueError, match="positive"):
         m_alpha(0.0)
     dep = depolarizing_channel(0.97)
-    assert np.allclose(m_alpha(1.3).transform_channel(dep).ptm, dep.ptm, atol=1e-12)
+    assert np.allclose(transform_channel(m_alpha(1.3), dep), dep, atol=1e-12)
 
 
 def test_m_alpha_error_map_pattern(depolarizing_gateset, group):
@@ -164,25 +163,25 @@ def test_counterexample_sweep():
     assert not by_alpha[1.1].all_cp
 
 
-def test_counterexample_per_gate_formula(depolarizing_gateset, group):
+def test_counterexample_per_gate_formula(depolarizing_gateset, group, transform_channel):
     lam = 0.99
     for alpha in (0.95, 0.9975, 1.0, 1.05):
         transform = m_alpha(alpha)
         formula = (3.0 - lam * (alpha**2 + alpha + 1.0) / alpha) / 6.0
         for tilde, ideal in zip(depolarizing_gateset.ptms, group.ptms):
-            value = agi(transform.transform_channel(Superoperator(tilde)), Superoperator(ideal))
+            value = agi(transform_channel(transform, tilde), ideal)
             fixes_y = abs(ideal[2, 2]) == 1.0
             expected = (1.0 - lam) / 2.0 if fixes_y else formula
             assert abs(value - expected) < 1e-12
 
 
-def test_counterexample_choi_eigenvalue_formula(depolarizing_gateset, group):
+def test_counterexample_choi_eigenvalue_formula(depolarizing_gateset, group, transform_channel):
     lam = 0.99
     moving = next(i for i, ptm in enumerate(group.ptms) if abs(ptm[2, 2]) != 1.0)
     for alpha in (0.95, 1.0, 1.08):
         transform = m_alpha(alpha)
-        tilde = transform.transform_channel(Superoperator(depolarizing_gateset.ptms[moving]))
-        error = Superoperator(tilde.ptm @ np.linalg.inv(group.ptms[moving]))
+        tilde = transform_channel(transform, depolarizing_gateset.ptms[moving])
+        error = tilde @ np.linalg.inv(group.ptms[moving])
         eigs = np.sort(choi_eigenvalues(error))
         xi = np.sort(
             [
@@ -257,8 +256,8 @@ def test_wallman_gauge_gate_independent(depolarizing_gateset, reference_primed_l
     l_primed = reference_primed_l_map(depolarizing_gateset)
     from rblab.superop import unvec, vec
 
-    candidate = depolarizing_channel(lam).ptm
-    residual = unvec(l_primed @ vec(candidate)) - candidate @ depolarizing_channel(lam).ptm
+    candidate = depolarizing_channel(lam)
+    residual = unvec(l_primed @ vec(candidate)) - candidate @ depolarizing_channel(lam)
     assert np.max(np.abs(residual)) < 1e-12
 
     result = wallman_gauge(analyse(depolarizing_gateset))

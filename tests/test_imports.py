@@ -62,8 +62,8 @@ for name, config in configs.items():
 
 gauge.epsilon_min_search(rblab.build_gateset(rblab.GateIndependent.depolarizing(0.99)), restarts=2)
 scipy_after["epsilon_min_search"] = loaded()
-damping = rblab.Superoperator([[1, 0, 0, 0], [0, 0.7**0.5, 0, 0], [0, 0, 0.7**0.5, 0], [0.3, 0, 0, 0.7]])
-lower, upper = rblab.diamond_bracket(damping, rblab.Superoperator(np.eye(4)))
+damping = rblab.as_channel([[1, 0, 0, 0], [0, 0.7**0.5, 0, 0], [0, 0, 0.7**0.5, 0], [0.3, 0, 0, 0.7]])
+lower, upper = rblab.diamond_bracket(damping, np.eye(4))
 scipy_after["diamond_bracket"] = loaded()
 print(json.dumps({"scipy_after": scipy_after, "polished": upper - lower > 1e-3}))
 """

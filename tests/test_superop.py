@@ -8,8 +8,8 @@ from rblab import (
     Effect,
     GateIndependent,
     State,
-    Superoperator,
     agi,
+    as_channel,
     build_gateset,
     choi_eigenvalues,
     depolarizing_channel,
@@ -27,8 +27,8 @@ from rblab.superop import PAULI_BASIS, PTM_TO_CHOI, unvec, vec
 X_AXIS = np.array([1.0, 0.0, 0.0])
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
-IDENTITY = Superoperator(np.eye(4))
-ZERO = Superoperator(np.zeros((4, 4)))
+IDENTITY = as_channel(np.eye(4))
+ZERO = as_channel(np.zeros((4, 4)))
 
 
 def test_vec_column_stacking_contract():
@@ -39,17 +39,17 @@ def test_vec_column_stacking_contract():
 
 
 def test_rotation_zero_angle_is_identity():
-    assert np.allclose(rotation_channel(Z_AXIS, 0.0).ptm, np.eye(4), atol=1e-14)
+    assert np.allclose(rotation_channel(Z_AXIS, 0.0), np.eye(4), atol=1e-14)
 
 
 def test_rotation_quarter_turns_compose_to_identity():
     quarter = rotation_channel(Z_AXIS, np.pi / 2)
-    assert np.allclose((quarter @ quarter @ quarter @ quarter).ptm, np.eye(4), atol=1e-12)
+    assert np.allclose(quarter @ quarter @ quarter @ quarter, np.eye(4), atol=1e-12)
 
 
 def test_rotation_ptm_trace_matches_cosine_form():
     for theta in (0.05, 0.37, 1.2, np.pi / 2):
-        ptm = rotation_channel(Z_AXIS, theta).ptm
+        ptm = rotation_channel(Z_AXIS, theta)
         assert abs(np.trace(ptm) - (2.0 + 2.0 * np.cos(theta))) < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_rotation_inverse_composes_to_identity():
         axis /= np.linalg.norm(axis)
         theta = rng.uniform(0, 2 * np.pi)
         prod = rotation_channel(axis, theta) @ rotation_channel(axis, -theta)
-        assert np.max(np.abs(prod.ptm - np.eye(4))) < 1e-12
+        assert np.max(np.abs(prod - np.eye(4))) < 1e-12
 
 
 def test_rotation_rejects_non_unit_axis():
@@ -69,8 +69,8 @@ def test_rotation_rejects_non_unit_axis():
 
 
 def test_depolarizing_ptm_and_edge_cases():
-    assert np.allclose(depolarizing_channel(1.0).ptm, np.eye(4))
-    assert np.allclose(depolarizing_channel(0.9).ptm, np.diag([1.0, 0.9, 0.9, 0.9]))
+    assert np.allclose(depolarizing_channel(1.0), np.eye(4))
+    assert np.allclose(depolarizing_channel(0.9), np.diag([1.0, 0.9, 0.9, 0.9]))
     assert abs(agi(depolarizing_channel(0.99), IDENTITY) - 0.005) < 1e-14
     # CP boundary: minimal Choi eigenvalue hits zero at lam = -1/3
     boundary = depolarizing_channel(-1.0 / 3.0)
@@ -87,24 +87,23 @@ def test_depolarizing_rejects_non_cp_range():
 def test_born_rule_basics():
     state = State.z_plus()
     effect = Effect.z_plus()
-    assert abs(effect.coeffs @ IDENTITY.ptm @ state.coeffs - 1.0) < 1e-15
-    assert abs(effect.coeffs @ rotation_channel(X_AXIS, np.pi).ptm @ state.coeffs) < 1e-14
+    assert abs(effect.coeffs @ IDENTITY @ state.coeffs - 1.0) < 1e-15
+    assert abs(effect.coeffs @ rotation_channel(X_AXIS, np.pi) @ state.coeffs) < 1e-14
     for lam in (0.0, 0.5, 0.73, 1.0):
         expected = (1.0 + lam) / 2.0
-        assert abs(effect.coeffs @ depolarizing_channel(lam).ptm @ state.coeffs - expected) < 1e-14
+        assert abs(effect.coeffs @ depolarizing_channel(lam) @ state.coeffs - expected) < 1e-14
 
 
-def test_compose_is_associative_and_checks_dimensions():
-    rng = np.random.default_rng(3)
-    a, b, c = (Superoperator(rng.standard_normal((4, 4))) for _ in range(3))
-    left = (a @ b) @ c
-    right = a @ (b @ c)
-    assert np.allclose(left.ptm, right.ptm, atol=1e-12)
+def test_as_channel_checks_dimensions():
     with pytest.raises(ValueError, match="dimension"):
-        a @ Superoperator(np.eye(16))
+        as_channel(np.eye(16))
+    for consumer in (to_choi, choi_eigenvalues, is_cp, is_tp, lambda s: agi(s, IDENTITY), lambda s: agi(IDENTITY, s),
+                     lambda s: diamond_bracket(s, IDENTITY), lambda s: diamond_bracket(IDENTITY, s)):
+        with pytest.raises(ValueError, match="dimension"):
+            consumer(np.eye(16))
 
 
-def test_state_and_effect_validation():
+def test_state_and_effect_validation(state_from_density_matrix, effect_from_operator):
     with pytest.raises(ValueError, match="unit trace"):
         State(np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="Bloch"):
@@ -112,19 +111,19 @@ def test_state_and_effect_validation():
     with pytest.raises(ValueError, match="eigenvalues"):
         Effect(np.array([2.0, 0.0, 0.0, 0.0]))
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    assert np.allclose(State.from_density_matrix(rho).coeffs, State.z_plus().coeffs)
-    assert np.allclose(Effect.from_operator(rho).coeffs, Effect.z_plus().coeffs)
+    assert np.allclose(state_from_density_matrix(rho).coeffs, State.z_plus().coeffs)
+    assert np.allclose(effect_from_operator(rho).coeffs, Effect.z_plus().coeffs)
 
 
-def test_one_qubit_shapes_are_enforced():
+def test_one_qubit_shapes_are_enforced(state_from_density_matrix):
     with pytest.raises(ValueError):
-        Superoperator(np.eye(9))
+        as_channel(np.eye(9))
     with pytest.raises(ValueError):
         State(np.zeros(9), validate=False)
     with pytest.raises(ValueError):
         Effect(np.full(9, 0.1))
     with pytest.raises(ValueError):
-        State.from_density_matrix(np.eye(3) / 3)
+        state_from_density_matrix(np.eye(3) / 3)
 
 
 def test_choi_of_identity_and_depolarizing():
@@ -143,7 +142,7 @@ def test_ptm_to_choi_matches_matrix_unit_construction(reference_ptm_to_choi):
 @given(ptm=arrays(np.float64, (4, 4), elements=st.floats(-1.0, 1.0)), scale=st.sampled_from([1e-8, 1.0, 1e8]))
 def test_choi_of_a_real_ptm_is_exactly_hermitian(ptm, scale):
     # choi_eigenvalues hands it to eigvalsh unchecked
-    choi = to_choi(Superoperator(scale * ptm))
+    choi = to_choi(scale * ptm)
     assert np.array_equal(choi, choi.conj().T)
 
 
@@ -151,14 +150,14 @@ def test_cp_tp_predicates():
     rot = rotation_channel(Y_AXIS, 1.1)
     assert is_cp(rot) and is_tp(rot)
     # unital: first column e0; unitary: orthogonal PTM
-    assert np.max(np.abs(rot.ptm[:, 0] - [1.0, 0.0, 0.0, 0.0])) <= 1e-9
-    assert np.max(np.abs(rot.ptm.T @ rot.ptm - np.eye(4))) <= 1e-9
-    too_strong = Superoperator(np.diag([1.0, 1.5, 1.5, 1.5]))
+    assert np.max(np.abs(rot[:, 0] - [1.0, 0.0, 0.0, 0.0])) <= 1e-9
+    assert np.max(np.abs(rot.T @ rot - np.eye(4))) <= 1e-9
+    too_strong = np.diag([1.0, 1.5, 1.5, 1.5])
     assert not is_cp(too_strong)
     assert is_tp(too_strong)
-    leaky = Superoperator(np.diag([0.9, 0.5, 0.5, 0.5]))
+    leaky = np.diag([0.9, 0.5, 0.5, 0.5])
     assert not is_tp(leaky)
-    dep = depolarizing_channel(0.9).ptm
+    dep = depolarizing_channel(0.9)
     assert np.max(np.abs(dep.T @ dep - np.eye(4))) > 1e-9
 
 
@@ -193,7 +192,7 @@ def test_haar_oracle_agrees_for_random_tp_maps(agi_haar_oracle):
         target = rotation_channel(axis, rng.uniform(0, 2 * np.pi))
         noise = np.eye(4)
         noise[1:, :] += 0.05 * rng.standard_normal((3, 4))
-        noisy = Superoperator(noise) @ target
+        noisy = noise @ target
         est, err = agi_haar_oracle(noisy, target, 20_000, seed=1000 + trial, with_stderr=True)
         if abs(est - agi(noisy, target)) > 3 * err:
             failures += 1
@@ -245,9 +244,9 @@ def _grid_states(center: np.ndarray, spread: float, points: int) -> np.ndarray:
     return psi
 
 
-def _grid_oracle_diamond(a: Superoperator, b: Superoperator) -> float:
+def _grid_oracle_diamond(a: np.ndarray, b: np.ndarray) -> float:
     """Brute-force zooming grid search over the 6-parameter pure-state manifold."""
-    delta = a.ptm - b.ptm
+    delta = a - b
     center = np.array([np.pi / 4, np.pi / 4, np.pi / 4, 0.0, 0.0, 0.0])
     spread = np.pi / 2
     best = -np.inf
@@ -291,7 +290,7 @@ def test_diamond_distance_deterministic():
     )
 
 
-def _random_cptp(rng) -> Superoperator:
+def _random_cptp(rng) -> np.ndarray:
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     rot = rotation_channel(axis, rng.uniform(0, np.pi))
@@ -317,13 +316,13 @@ def test_diamond_measurement_bound():
         a = _random_cptp(rng)
         b = _random_cptp(rng)
         lhs = 2.0 * abs(
-            effect.coeffs @ a.ptm @ state.coeffs - effect.coeffs @ b.ptm @ state.coeffs
+            effect.coeffs @ a @ state.coeffs - effect.coeffs @ b @ state.coeffs
         )
         assert lhs <= diamond_distance(a, b, seed=trial) + 1e-6
 
 
-def _amplitude_damping(gamma: float) -> Superoperator:
-    return Superoperator(
+def _amplitude_damping(gamma: float) -> np.ndarray:
+    return as_channel(
         [[1, 0, 0, 0], [0, np.sqrt(1 - gamma), 0, 0], [0, 0, np.sqrt(1 - gamma), 0], [gamma, 0, 0, 1 - gamma]]
     )
 
@@ -406,10 +405,10 @@ def test_nelder_mead_equals_scipy_at_every_cap(func):
         assert evaluations == res.nfev, maxfev
 
 
-def _channel_from_kraus(kraus) -> Superoperator:
+def _channel_from_kraus(kraus) -> np.ndarray:
     basis = PAULI_BASIS
     ptm = sum(np.einsum("iab,bc,jcd,da->ij", basis, k, basis, k.conj().T) for k in kraus)
-    return Superoperator(ptm.real)
+    return as_channel(ptm.real)
 
 
 @st.composite
@@ -431,7 +430,7 @@ def _unital_channels(draw):
     angles = draw(arrays(np.float64, 2, elements=st.floats(0.0, 2.0 * np.pi)))
     weight = draw(st.floats(0.0, 1.0))
     a, b = (rotation_channel(axis / np.linalg.norm(axis), angle) for axis, angle in zip(axes, angles))
-    return Superoperator(weight * a.ptm + (1 - weight) * b.ptm)
+    return as_channel(weight * a + (1 - weight) * b)
 
 
 _CHANNELS = st.one_of(_kraus_channels(), _unital_channels())
@@ -443,7 +442,7 @@ def test_diamond_bracket_properties(a, b):
     lower, upper = diamond_bracket(a, b)
     assert lower <= upper + 1e-12
     state, effect = State.z_plus(), Effect.z_plus()
-    measured = 2.0 * abs(effect.coeffs @ a.ptm @ state.coeffs - effect.coeffs @ b.ptm @ state.coeffs)
+    measured = 2.0 * abs(effect.coeffs @ a @ state.coeffs - effect.coeffs @ b @ state.coeffs)
     assert lower >= measured - 1e-12
     swapped_lower, swapped_upper = diamond_bracket(b, a)
     scale = max(1.0, upper)

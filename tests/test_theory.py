@@ -11,7 +11,6 @@ from rblab import (
     build_gateset,
     build_l_map,
     build_r_matrix,
-    brute_force_pm,
     delta_diamond,
     exact_decay,
     gamma_and_r_gamma,
@@ -55,7 +54,7 @@ def test_exact_decay_gate_independent_closed_form(depolarizing_gateset):
     assert np.max(np.abs(values - expected)) < 1e-12
 
 
-def test_exact_decay_matches_brute_force(coherent_gateset, random_gatesets):
+def test_exact_decay_matches_brute_force(coherent_gateset, random_gatesets, brute_force_pm):
     for gateset in [coherent_gateset, *random_gatesets[:2]]:
         for m in (1, 2):
             _, values = exact_decay(gateset, lengths=[m])
@@ -73,12 +72,12 @@ def test_exact_decay_fallback_matches_spectral(coherent_gateset, monkeypatch):
         decay.predict(lengths)
 
 
-def test_brute_force_caps_length(coherent_gateset):
+def test_brute_force_caps_length(coherent_gateset, brute_force_pm):
     with pytest.raises(ValueError, match="capped"):
         brute_force_pm(coherent_gateset, m=4)
 
 
-def test_brute_force_rejects_length_zero(coherent_gateset):
+def test_brute_force_rejects_length_zero(coherent_gateset, brute_force_pm):
     with pytest.raises(ValueError, match=">= 1"):
         brute_force_pm(coherent_gateset, m=0)
 
@@ -162,7 +161,7 @@ def test_delta_diamond_zero_for_gate_independent(depolarizing_gateset, perfect_g
     assert delta_diamond(perfect_gateset).delta_diamond < 1e-12
 
 
-def test_delta_diamond_bounds_model_error(coherent_gateset):
+def test_delta_diamond_bounds_model_error(coherent_gateset, brute_force_pm):
     bound = delta_diamond(coherent_gateset)
     assert bound.delta_diamond > 0
     assert bound.per_gate_distances.shape == (24,)
