@@ -60,19 +60,15 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford, gauge, protocol, theory
+from .protocol import _is_integer  # JSON booleans load as bool, a subclass of int, and are not numbers
 from .superop import as_channel
 
 __all__ = ["main", "validate", "run"]
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; JSON booleans load as bool, a subclass of int, and are not numbers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     """A finite JSON number; Python's json also reads NaN and Infinity."""
-    return _is_int(value) or (isinstance(value, float) and np.isfinite(value))
+    return _is_integer(value) or (isinstance(value, float) and np.isfinite(value))
 
 
 def _checked(test, message: str, convert=None):
@@ -87,7 +83,7 @@ def _checked(test, message: str, convert=None):
 
 
 def _integer(low: int):
-    return _checked(lambda v: _is_int(v) and v >= low, f"must be an integer >= {low}")
+    return _checked(lambda v: _is_integer(v) and v >= low, f"must be an integer >= {low}")
 
 
 def _one_of(options, what: str):
@@ -117,9 +113,9 @@ def _lengths(value) -> tuple[int, ...]:
     """A list of lengths, or {start, stop, step} for range(start, stop + 1, step)."""
     if isinstance(value, dict) and set(value) == {"start", "stop", "step"}:
         start, stop, step = value["start"], value["stop"], value["step"]
-        if all(map(_is_int, (start, stop, step))) and min(start, step) >= 1 and stop >= start:
+        if all(map(_is_integer, (start, stop, step))) and min(start, step) >= 1 and stop >= start:
             return tuple(range(start, stop + 1, step))
-    elif _is_list(value, lambda m: _is_int(m) and m >= 1):
+    elif _is_list(value, lambda m: _is_integer(m) and m >= 1):
         return tuple(value)
     raise ValueError("must be a list of integers >= 1 or {start, stop, step} (integers >= 1, stop >= start)")
 
@@ -128,7 +124,7 @@ def _alpha_grid(value) -> np.ndarray:
     """A list of alphas, or {start, stop, num} for numpy.linspace."""
     if isinstance(value, dict) and set(value) == {"start", "stop", "num"}:
         start, stop, num = value["start"], value["stop"], value["num"]
-        if _is_number(start) and _is_number(stop) and min(start, stop) > 0 and _is_int(num) and num >= 1:
+        if _is_number(start) and _is_number(stop) and min(start, stop) > 0 and _is_integer(num) and num >= 1:
             return np.linspace(float(start), float(stop), num)
     elif _is_list(value, lambda a: _is_number(a) and a > 0):
         return np.asarray([float(a) for a in value])
@@ -217,18 +213,15 @@ def _run_theory(values: dict, resolved: dict, out_dir: Path) -> None:
     lengths = values["theory.lengths"]
     spectral, exact = theory.exact_decay(gateset, lengths=lengths)
     predicted = theory.predicted_decay(analysis, lengths=lengths)
-    bound = theory.delta_diamond(gateset, seed=values["seed"])
-    rows = [
-        (m, pe, pp, pp - bound.delta_diamond, pp + bound.delta_diamond)
-        for m, pe, pp in zip(lengths, exact, predicted)
-    ]
+    delta = theory.delta_diamond(gateset, seed=values["seed"]).delta_diamond
+    rows = [(m, pe, pp, pp - delta, pp + delta) for m, pe, pp in zip(lengths, exact, predicted)]
     _write_csv(out_dir / "theory_decay.csv", ["m", "p_exact", "p_predicted", "bound_lo", "bound_hi"], rows, resolved)
     _write_json(
         out_dir / "theory_summary.json",
         {
-            "gamma": analysis.gamma.gamma,
-            "r_gamma": analysis.gamma.r_gamma,
-            "delta_diamond": bound.delta_diamond,
+            "gamma": analysis.gamma,
+            "r_gamma": analysis.r_gamma,
+            "delta_diamond": delta,
             "eigenvalues": [[z.real, z.imag] for z in np.sort_complex(spectral.eigenvalues)],
         },
         resolved,
@@ -240,7 +233,7 @@ def _run_sweep(values: dict, resolved: dict, out_dir: Path) -> None:
     theories = values["theories"]
     estimates = protocol.estimate_rs([t.gateset for t in theories], config, model=values["rb.fit_model"])
     rows = [
-        (theta, estimate.r_mean, estimate.r_std, analysis.gamma.r_gamma, gauge.agsi_of(analysis.gateset))
+        (theta, estimate.r_mean, estimate.r_std, analysis.r_gamma, gauge.agsi_of(analysis.gateset))
         for theta, analysis, estimate in zip(values["sweep.grid"], theories, estimates)
     ]
     _write_csv(out_dir / "sweep.csv", ["theta", "r_hat", "r_std", "r_gamma", "epsilon"], rows, resolved)
@@ -258,17 +251,17 @@ def _run_gauge_demo(values: dict, resolved: dict, out_dir: Path) -> None:
         {
             "epsilon_before": eps_before,
             "epsilon_after": eps_after,
-            "all_cp_after": bool(min_eig >= -1e-10),
+            "all_cp_after": bool(min_eig >= gauge._CP_FLOOR),
             "min_choi_eigenvalue_after": min_eig,
-            "r_reference": wallman.r_gamma,
+            "r_reference": analysis.r_gamma,
         },
         resolved,
     )
     _write_json(
         out_dir / "wallman.json",
         {
-            "gamma": wallman.gamma,
-            "r_gamma": wallman.r_gamma,
+            "gamma": analysis.gamma,
+            "r_gamma": analysis.r_gamma,
             "epsilon_in_gauge": wallman.epsilon_in_gauge,
             "min_choi_eigenvalue": wallman.min_choi_eigenvalue,
             "null_space_dim": wallman.null_space_dim,
@@ -374,8 +367,8 @@ def _parse(config) -> tuple[dict, list[str]]:
     Values are keyed "section.key" (top-level keys bare), defaults filled
     in; "error_model" holds the built gateset. A command that computes
     gamma (theory, gauge-demo, sweep) also needs its gatesets in the
-    small-error regime: "theories" holds the `theory.analyse` of each, in
-    order (the error model's, or one per sweep theta). For gauge-demo,
+    small-error regime: "theories" holds the `theory.GatesetTheory` of
+    each, in order (the error model's, or one per sweep theta). For gauge-demo,
     "gauge" holds the seeded `GaugeTransform.random_tp` of size
     "gauge.scale". Every section present is checked, whatever the command;
     the rules across keys once all parse.
@@ -416,7 +409,7 @@ def _parse(config) -> tuple[dict, list[str]]:
     values["theories"] = []
     for label, gateset in checked:
         try:
-            values["theories"].append(theory.analyse(gateset))
+            values["theories"].append(theory.GatesetTheory(gateset))
         except ValueError as exc:
             problems.append(f"{label}: {exc}")
     if command in ("simulate", "sweep"):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -72,13 +72,15 @@ class CliffordGroup:
     ptms is the read-only (|C|, 4, 4) stack of the element PTMs;
     cayley[i, j] is the index of element i composed after element j (PTM
     product ptms[i] @ ptms[j]), ptms[inverse] stacks their exact inverses
-    and words[i] is element i's shortest {Gx, Gy} word.
+    and words[i] is element i's shortest {Gx, Gy} word. The identity is
+    element 0, as the closure of `generate_clifford_group` finds it first.
     """
+
+    identity_index: ClassVar[int] = 0
 
     ptms: np.ndarray
     cayley: np.ndarray
     inverse: np.ndarray
-    identity_index: int
     words: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
@@ -107,7 +109,7 @@ def generate_clifford_group() -> CliffordGroup:
 
     index_of = {_key(e): i for i, e in enumerate(elements)}
     cayley = np.array([[index_of[_key(a @ b)] for b in elements] for a in elements], dtype=np.intp)
-    identities = cayley == 0
+    identities = cayley == CliffordGroup.identity_index
     if np.any(identities.sum(axis=1) != 1):
         raise RuntimeError("group inverse is not unique")
 
@@ -115,7 +117,6 @@ def generate_clifford_group() -> CliffordGroup:
         ptms=np.stack(elements),
         cayley=cayley,
         inverse=identities.argmax(axis=1),
-        identity_index=0,
         words=words,
     )
 

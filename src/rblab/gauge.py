@@ -7,6 +7,8 @@ module quantifies that, builds the diagonal family which lowers it below the
 RB number while staying physical, searches for the minimal-infidelity CPTP
 representation, and constructs the gauge in which the average error map is
 exactly depolarizing (making the infidelity equal r_gamma).
+
+Its results hold only their inputs: each CP flag is read off the smallest Choi eigenvalue.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ __all__ = [
     "epsilon_min_search",
     "wallman_gauge",
 ]
+
+
+_CP_FLOOR = -1e-10  # least Choi eigenvalue of a CP representation: counterexample rows, gauge-demo
+_SEARCH_CP_FLOOR = -1e-8  # the same for the representations `epsilon_min_search` accepts
 
 
 def _tp_form(params: np.ndarray) -> np.ndarray:
@@ -129,8 +135,11 @@ class CounterexampleRow:
     alpha: float
     epsilon: float
     min_choi_eigenvalue: float
-    all_cp: bool
     r_reference: float
+
+    @property
+    def all_cp(self) -> bool:
+        return bool(self.min_choi_eigenvalue >= _CP_FLOOR)
 
 
 def counterexample_epsilon_min(lam: float, alpha_grid) -> list[CounterexampleRow]:
@@ -149,7 +158,7 @@ def counterexample_epsilon_min(lam: float, alpha_grid) -> list[CounterexampleRow
     rows = []
     for alpha in np.asarray(alpha_grid, dtype=float):
         eps, min_eig = infidelity_and_min_choi(m_alpha(float(alpha)).transform_gateset(gateset))
-        rows.append(CounterexampleRow(float(alpha), eps, min_eig, bool(min_eig >= -1e-10), r_reference))
+        rows.append(CounterexampleRow(float(alpha), eps, min_eig, r_reference))
     return rows
 
 
@@ -160,8 +169,11 @@ _CP_PENALTY = 1e8  # weight of the squared most-negative Choi eigenvalue in the 
 class EpsilonMinResult:
     epsilon_min_estimate: float
     transform: GaugeTransform
-    all_cp: bool
     min_choi_eigenvalue: float
+
+    @property
+    def all_cp(self) -> bool:
+        return bool(self.min_choi_eigenvalue >= _SEARCH_CP_FLOOR)
 
 
 def _evaluate(params: np.ndarray, tilde: np.ndarray, ideal_inv: np.ndarray):
@@ -244,13 +256,12 @@ def epsilon_min_search(
         if evaluated is None:
             continue
         eps, min_eig = evaluated
-        if min_eig >= -1e-8 and eps < best_eps:
+        if min_eig >= _SEARCH_CP_FLOOR and eps < best_eps:
             best_params, best_eps, best_min_eig = params, eps, min_eig
 
     return EpsilonMinResult(
         epsilon_min_estimate=best_eps,
         transform=GaugeTransform(_tp_form(best_params)),
-        all_cp=bool(best_min_eig >= -1e-8),
         min_choi_eigenvalue=best_min_eig,
     )
 
@@ -262,9 +273,10 @@ def epsilon_min_search(
 
 @dataclass(frozen=True, eq=False)
 class WallmanGauge:
+    """The depolarizing-error gauge's channel L and the gateset scored in it;
+    its gamma and r_gamma are those of the `GatesetTheory` it was built from."""
+
     l_op: np.ndarray
-    gamma: float
-    r_gamma: float
     epsilon_in_gauge: float
     min_choi_eigenvalue: float
     null_space_dim: int
@@ -276,7 +288,7 @@ def wallman_gauge(analysis: GatesetTheory, seed: int = 0) -> WallmanGauge:
     evaluate the gateset infidelity in the gauge it generates.
 
     vec(L) spans the numerical null space of (M' - D_gamma kron Id) with M'
-    the 16x16 matrix of E -> avg_i[C~_i E C_i^{-1}]: the analysed `L` map
+    the 16x16 matrix of E -> avg_i[C~_i E C_i^{-1}]: the theory's `L` map
     with its entries permuted. When that space has dimension
     above one, the combination maximizing invertibility of L is
     selected by seeded random search. In this gauge the average error map is
@@ -286,7 +298,7 @@ def wallman_gauge(analysis: GatesetTheory, seed: int = 0) -> WallmanGauge:
     """
     gateset = analysis.gateset
     l_primed = analysis.l_map.reshape(4, 4, 4, 4).transpose(3, 2, 1, 0).reshape(16, 16)
-    gamma = analysis.gamma.gamma
+    gamma = analysis.gamma
 
     system = l_primed - np.kron(depolarizing_channel(gamma), np.eye(4))
     u, s, vh = np.linalg.svd(system)
@@ -328,8 +340,6 @@ def wallman_gauge(analysis: GatesetTheory, seed: int = 0) -> WallmanGauge:
     eps, min_eig = infidelity_and_min_choi(l_inverse_gauge.transform_gateset(gateset))
     return WallmanGauge(
         l_op=as_channel(best),
-        gamma=gamma,
-        r_gamma=analysis.gamma.r_gamma,
         epsilon_in_gauge=eps,
         min_choi_eigenvalue=min_eig,
         null_space_dim=null_dim,

@@ -105,6 +105,26 @@ class Spam:
         return cls(State.z_plus(), Effect.z_plus())
 
 
+def _is_integer(value) -> bool:
+    """An integer, Python's or numpy's; a bool, which Python counts as an int, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value, low: int) -> int:
+    """`value` as an int if it is an integer >= `low`; ValueError otherwise."""
+    if not (_is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _checked_lengths(lengths) -> tuple[int, ...]:
+    """Sequence lengths as a non-empty tuple of ints, each an integer >= 1."""
+    lengths = tuple(_check_integer("each sequence length", m, 1) for m in lengths)
+    if not lengths:
+        raise ValueError("RB needs at least one length")
+    return lengths
+
+
 @dataclass(frozen=True)
 class RBConfig:
     lengths: tuple[int, ...] = DEFAULT_LENGTHS
@@ -114,37 +134,32 @@ class RBConfig:
     spam: Spam = field(default_factory=Spam.ideal)
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(m) for m in self.lengths))
-        if not self.lengths:
-            raise ValueError("RBConfig needs at least one length")
-        if any(m < 1 for m in self.lengths):
-            raise ValueError("all sequence lengths must be >= 1")
-        if self.k_per_length < 1:
-            raise ValueError("k_per_length must be >= 1")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        object.__setattr__(self, "lengths", _checked_lengths(self.lengths))
+        _check_integer("k_per_length", self.k_per_length, 1)
+        _check_integer("seed", self.seed, 0)
+        _check_integer("repeats", self.repeats, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class RBDataset:
-    """Exact per-sequence survival probabilities and their means, per length."""
+    """Exact per-sequence survival probabilities per length; their means are derived."""
 
     lengths: tuple[int, ...]
     survivals: tuple[np.ndarray, ...]
-    means: np.ndarray
+    means: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        means = np.array(self.means, dtype=float)
-        means.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        if len(self.survivals) != len(self.lengths) or means.shape != (len(self.lengths),):
-            raise ValueError("lengths, survivals and means must have one entry per length")
+        if len(self.survivals) != len(self.lengths):
+            raise ValueError("lengths and survivals must have one entry per length")
         # each check states what valid data meets, so NaN, which fails every comparison, fails it
-        for probs, mean in zip(self.survivals, means):
+        for probs in self.survivals:
+            if probs.size == 0:
+                raise ValueError("every length needs at least one survival probability")
             if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
                 raise ValueError("survival probabilities must lie in [0, 1]")
-            if not abs(probs.mean() - mean) <= 1e-15:
-                raise ValueError("stored mean is inconsistent with per-sequence values")
+        means = np.array([probs.mean() for probs in self.survivals], dtype=float)
+        means.setflags(write=False)
+        object.__setattr__(self, "means", means)
 
     def std_across_sequences(self) -> np.ndarray:
         return np.array([float(np.std(p, ddof=1)) if p.size > 1 else 0.0 for p in self.survivals])
@@ -157,17 +172,28 @@ class FitResult:
     b: float
     c: float
     p: float
-    r_hat: float
     residual_norm: float
     flags: tuple[str, ...] = ()
+
+    @property
+    def r_hat(self) -> float:
+        return (1.0 - self.p) / 2
 
 
 @dataclass(frozen=True)
 class RBEstimate:
-    r_mean: float
-    r_std: float
+    """One gateset's repeat fits; r_mean and r_std are their RB numbers' mean and sample std."""
+
     fits: tuple[FitResult, ...]  # the repeats that fitted, in repeat order
     failures: int  # repeats whose fit raised FitError
+
+    @property
+    def r_mean(self) -> float:
+        return float(np.mean(np.array([f.r_hat for f in self.fits])))
+
+    @property
+    def r_std(self) -> float:
+        return float(np.std(np.array([f.r_hat for f in self.fits]), ddof=1))
 
 
 # --------------------------------------------------------------------------
@@ -363,11 +389,7 @@ def run_rb(gateset: GateSet, config: RBConfig) -> RBDataset:
     for batch, probs in zip(batches, per_batch):
         for i, p in zip(batch, probs):
             survivals[i] = p
-    return RBDataset(
-        lengths=config.lengths,
-        survivals=tuple(survivals),
-        means=np.array([probs.mean() for probs in survivals]),
-    )
+    return RBDataset(lengths=config.lengths, survivals=tuple(survivals))
 
 
 def repeat_datasets(gateset: GateSet, config: RBConfig):
@@ -487,14 +509,7 @@ def fit_decay(dataset: RBDataset, model: str = "first") -> FitResult:
 
     if means.max() - means.min() < 1e-12:
         return FitResult(
-            model=model,
-            a=float(means.mean()),
-            b=0.0,
-            c=0.0,
-            p=float("nan"),
-            r_hat=float("nan"),
-            residual_norm=0.0,
-            flags=("no-decay",),
+            model=model, a=float(means.mean()), b=0.0, c=0.0, p=float("nan"), residual_norm=0.0, flags=("no-decay",)
         )
 
     # Decays shallower than ~1% over the measured window cannot be told apart
@@ -538,17 +553,7 @@ def fit_decay(dataset: RBDataset, model: str = "first") -> FitResult:
     flags = []
     if best_q >= q_cap - 1e-6 or best_q <= q_floor + 1e-6:
         flags.append("p-at-bound")
-    r_hat = (1.0 - p) / 2
-    return FitResult(
-        model=model,
-        a=a,
-        b=b,
-        c=c,
-        p=p,
-        r_hat=r_hat,
-        residual_norm=float(np.linalg.norm(resid)),
-        flags=tuple(flags),
-    )
+    return FitResult(model=model, a=a, b=b, c=c, p=p, residual_norm=float(np.linalg.norm(resid)), flags=tuple(flags))
 
 
 def _ladder(p0: float) -> np.ndarray:
@@ -708,19 +713,13 @@ def _fit_or_error(model: str, dataset: RBDataset) -> FitResult | FitError:
 
 
 def _estimate(outcomes: list) -> RBEstimate:
-    """Mean and standard deviation of the fitted RB numbers of one gateset's
-    repeats; FitError if more than half of them failed to fit."""
+    """The estimate from one gateset's repeat outcomes (fits and FitErrors);
+    FitError if more than half of them failed to fit."""
     fits = tuple(f for f in outcomes if not isinstance(f, FitError))
     failures = len(outcomes) - len(fits)
     if failures > len(outcomes) // 2:
         raise FitError(f"{failures} of {len(outcomes)} repeats failed to fit", float("inf"))
-    r_values = np.array([f.r_hat for f in fits])
-    return RBEstimate(
-        r_mean=float(np.mean(r_values)),
-        r_std=float(np.std(r_values, ddof=1)),
-        fits=fits,
-        failures=failures,
-    )
+    return RBEstimate(fits=fits, failures=failures)
 
 
 def estimate_rs(gatesets, config: RBConfig, model: str = "first") -> list[RBEstimate]:

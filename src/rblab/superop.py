@@ -184,16 +184,16 @@ def choi_eigenvalues(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(to_choi(s))
 
 
-def is_cp(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """Complete positivity: all Choi eigenvalues >= -tol."""
-    return bool(choi_eigenvalues(s)[0] >= -tol)
+def is_cp(s: np.ndarray) -> bool:
+    """Complete positivity: all Choi eigenvalues >= -STRUCTURAL_TOL."""
+    return bool(choi_eigenvalues(s)[0] >= -STRUCTURAL_TOL)
 
 
-def is_tp(s: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    """Trace preservation: first PTM row equals (1, 0, ..., 0) within tol."""
+def is_tp(s: np.ndarray) -> bool:
+    """Trace preservation: first PTM row equals (1, 0, ..., 0) within STRUCTURAL_TOL."""
     row = as_channel(s)[0].copy()
     row[0] -= 1.0
-    return bool(np.max(np.abs(row)) <= tol)
+    return bool(np.max(np.abs(row)) <= STRUCTURAL_TOL)
 
 
 # --------------------------------------------------------------------------

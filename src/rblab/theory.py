@@ -11,28 +11,30 @@ Two decay predictors for a gateset:
   L(E) = avg_i[C_i^{-1} E C~_i], whose second-largest eigenvalue gamma sets
   the decay base. Its error is bounded by half the average diamond distance
   of the per-gate error maps to their mean.
+
+The result records take only their inputs: `GatesetTheory(gateset)` builds
+its `L` map and gamma itself, and `DeltaBound` derives delta_diamond from
+its per-gate distances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clifford import GateSet, average_error_map, error_maps
-from .protocol import Spam
+from .protocol import Spam, _checked_lengths
 from .superop import diamond_bracket, vec, unvec
 
 __all__ = [
     "SpectralDecay",
-    "GammaResult",
     "GatesetTheory",
     "DeltaBound",
     "build_r_matrix",
     "exact_decay",
     "build_l_map",
     "gamma_and_r_gamma",
-    "analyse",
     "predicted_decay",
     "delta_diamond",
 ]
@@ -63,16 +65,10 @@ class SpectralDecay:
         return values.real
 
 
-@dataclass(frozen=True)
-class GammaResult:
-    gamma: float
-    r_gamma: float
-
-
 @dataclass(frozen=True, eq=False)
 class DeltaBound:
-    """delta_diamond = mean(per-gate diamond distances to the average error
-    map) / 2; bounds the approximate theory's error at every length.
+    """Per-gate diamond distances to the average error map; their mean over
+    two, delta_diamond, bounds the approximate theory's error at every length.
 
     Each per-gate distance is bracketed by :func:`rblab.superop.diamond_bracket`:
     `per_gate_distances` holds the lower ends (values attained by input
@@ -80,9 +76,12 @@ class DeltaBound:
     delta_diamond lies in [delta_diamond, per_gate_upper.mean() / 2].
     """
 
-    delta_diamond: float
     per_gate_distances: np.ndarray
     per_gate_upper: np.ndarray
+
+    @property
+    def delta_diamond(self) -> float:
+        return float(self.per_gate_distances.mean() / 2.0)
 
 
 def build_r_matrix(gateset: GateSet) -> np.ndarray:
@@ -98,11 +97,8 @@ def build_r_matrix(gateset: GateSet) -> np.ndarray:
 
 
 def _lengths(lengths) -> np.ndarray:
-    """Sequence lengths as integers, each >= 1 as `RBConfig` requires."""
-    lengths = np.asarray([int(m) for m in np.atleast_1d(lengths)])
-    if np.any(lengths < 1):
-        raise ValueError("all sequence lengths must be >= 1")
-    return lengths
+    """One sequence length or several, checked as `RBConfig` checks them."""
+    return np.array(_checked_lengths(lengths if np.ndim(lengths) else [lengths]))
 
 
 def _spam_vectors(spam: Spam, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +162,7 @@ def build_l_map(gateset: GateSet) -> np.ndarray:
     return out / len(group)
 
 
-def gamma_and_r_gamma(l_matrix: np.ndarray) -> GammaResult:
+def gamma_and_r_gamma(l_matrix: np.ndarray) -> tuple[float, float]:
     """Decay base gamma: the largest-modulus eigenvalue after the single
     unit eigenvalue, which must be real; r_gamma = (1-gamma)/2.
 
@@ -188,27 +184,27 @@ def gamma_and_r_gamma(l_matrix: np.ndarray) -> GammaResult:
     if abs(gamma) > 1.0 + 1e-9:
         raise ValueError(f"subdominant eigenvalue {gamma} exceeds 1 in modulus")
     gamma_real = float(gamma.real)
-    return GammaResult(
-        gamma=gamma_real,
-        r_gamma=(1.0 - gamma_real) / 2,
-    )
+    return gamma_real, (1.0 - gamma_real) / 2
 
 
 @dataclass(frozen=True, eq=False)
 class GatesetTheory:
-    """A gateset in the small-error regime with its 16x16 `L` map and the
-    map's subdominant eigenvalue; built by :func:`analyse`."""
+    """A gateset in the small-error regime with its 16x16 `L` map, the map's
+    subdominant eigenvalue gamma and r_gamma, each computed once from the
+    gateset on construction, which raises the ValueError of
+    `gamma_and_r_gamma` outside the small-error regime."""
 
     gateset: GateSet
-    l_map: np.ndarray
-    gamma: GammaResult
+    l_map: np.ndarray = field(init=False)
+    gamma: float = field(init=False)
+    r_gamma: float = field(init=False)
 
-
-def analyse(gateset: GateSet) -> GatesetTheory:
-    """The `L` map and gamma of `gateset`, each computed once; raises the
-    ValueError of `gamma_and_r_gamma` outside the small-error regime."""
-    l_map = build_l_map(gateset)
-    return GatesetTheory(gateset, l_map, gamma_and_r_gamma(l_map))
+    def __post_init__(self):
+        l_map = build_l_map(self.gateset)
+        gamma, r_gamma = gamma_and_r_gamma(l_map)
+        object.__setattr__(self, "l_map", l_map)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "r_gamma", r_gamma)
 
 
 def predicted_decay(analysis: GatesetTheory, spam: Spam | None = None, lengths=(1,)) -> np.ndarray:
@@ -227,8 +223,4 @@ def delta_diamond(gateset: GateSet, seed: int = 0) -> DeltaBound:
     the average error map."""
     avg = average_error_map(gateset)
     brackets = np.array([diamond_bracket(m, avg, seed=seed + i) for i, m in enumerate(error_maps(gateset))])
-    return DeltaBound(
-        delta_diamond=float(brackets[:, 0].mean() / 2.0),
-        per_gate_distances=brackets[:, 0],
-        per_gate_upper=brackets[:, 1],
-    )
+    return DeltaBound(per_gate_distances=brackets[:, 0], per_gate_upper=brackets[:, 1])

@@ -12,12 +12,12 @@ import pytest
 
 from rblab import (
     CoherentZ,
+    GatesetTheory,
     GaugeTransform,
     RBConfig,
     Spam,
     agi,
     agsi_of,
-    analyse,
     build_gateset,
     build_l_map,
     counterexample_epsilon_min,
@@ -95,7 +95,7 @@ def test_criterion_2_scaling_exponents(group, table):
     r_gammas, epsilons = [], []
     for theta in thetas:
         gateset = build_gateset(CoherentZ(float(theta)), group, table)
-        r_gammas.append(gamma_and_r_gamma(build_l_map(gateset)).r_gamma)
+        r_gammas.append(gamma_and_r_gamma(build_l_map(gateset))[1])
         epsilons.append(agsi_of(gateset))
     slope_r = np.polyfit(np.log(thetas), np.log(r_gammas), 1)[0]
     slope_eps = np.polyfit(np.log(thetas), np.log(epsilons), 1)[0]
@@ -117,10 +117,10 @@ def test_criterion_3_general_error_reproduction(general_gateset, general_estimat
 def test_criterion_4_gate_independent_exactness(depolarizing_gateset, depolarizing_estimate):
     lam = 0.99
     r_mean, _ = depolarizing_estimate.r_stats()
-    gamma_result = gamma_and_r_gamma(build_l_map(depolarizing_gateset))
+    _, r_gamma = gamma_and_r_gamma(build_l_map(depolarizing_gateset))
     epsilon = agsi_of(depolarizing_gateset)
     assert abs(r_mean - 0.005) < 1e-6
-    assert abs(gamma_result.r_gamma - 0.005) < 1e-6
+    assert abs(r_gamma - 0.005) < 1e-6
     assert abs(epsilon - 0.005) < 1e-6
     lengths = np.asarray(DEFAULT_LENGTHS)
     _, values = exact_decay(depolarizing_gateset, lengths=lengths)
@@ -128,7 +128,7 @@ def test_criterion_4_gate_independent_exactness(depolarizing_gateset, depolarizi
     worst = float(np.max(np.abs(values - expected)))
     assert worst < 1e-12, f"exact decay deviates from closed form by {worst:.2e}"
     print(
-        f"ACCEPTANCE 4 PASS: r_hat = {r_mean:.9f}, r_gamma = {gamma_result.r_gamma:.9f}, "
+        f"ACCEPTANCE 4 PASS: r_hat = {r_mean:.9f}, r_gamma = {r_gamma:.9f}, "
         f"epsilon = {epsilon:.9f}, closed-form deviation {worst:.1e}"
     )
 
@@ -161,7 +161,7 @@ def test_criterion_6_bound_verification(random_gatesets):
     for index, gateset in enumerate(random_gatesets):
         bound = delta_diamond(gateset, seed=700 + index)
         _, exact = exact_decay(gateset, lengths=lengths)
-        predicted = predicted_decay(analyse(gateset), lengths=lengths)
+        predicted = predicted_decay(GatesetTheory(gateset), lengths=lengths)
         worst = float(np.max(np.abs(exact - predicted)))
         assert worst <= bound.delta_diamond, (
             f"model {index}: |exact - predicted| = {worst:.3e} > delta_diamond = {bound.delta_diamond:.3e}"
@@ -279,13 +279,14 @@ def test_criterion_10_wallman_gauge(
     worst_residual = 0.0
     worst_identity = 0.0
     for gateset in gatesets:
-        result = wallman_gauge(analyse(gateset))
+        analysis = GatesetTheory(gateset)
+        result = wallman_gauge(analysis)
         worst_residual = max(worst_residual, result.residual)
-        worst_identity = max(worst_identity, abs(result.epsilon_in_gauge - result.r_gamma))
+        worst_identity = max(worst_identity, abs(result.epsilon_in_gauge - analysis.r_gamma))
         assert result.residual < 1e-8
-        assert abs(result.epsilon_in_gauge - result.r_gamma) < 1e-8
+        assert abs(result.epsilon_in_gauge - analysis.r_gamma) < 1e-8
     r_mean, r_std = coherent_estimate.r_stats()
-    r_gamma = gamma_and_r_gamma(build_l_map(coherent_gateset)).r_gamma
+    _, r_gamma = gamma_and_r_gamma(build_l_map(coherent_gateset))
     assert abs(r_mean - r_gamma) <= r_std, (
         f"|r_hat - r_gamma| = {abs(r_mean - r_gamma):.2e} > r_std = {r_std:.2e}"
     )

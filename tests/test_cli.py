@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rblab.cli
-from rblab import CoherentZ, analyse, build_gateset, depolarizing_channel
+from rblab import CoherentZ, GatesetTheory, build_gateset, depolarizing_channel
 from rblab.cli import main, run, validate
 from rblab.clifford import ideal_primitives
 
@@ -280,7 +280,7 @@ def test_sweep_with_a_repeated_theta_writes_every_row(tmp_path):
     rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
     assert [float(row[0]) for row in rows] == grid
     for theta, row in zip(grid, rows):
-        assert float(row[3]) == analyse(build_gateset(CoherentZ(theta))).gamma.r_gamma, theta
+        assert float(row[3]) == GatesetTheory(build_gateset(CoherentZ(theta))).r_gamma, theta
 
 
 def _counting(monkeypatch, module, name):
@@ -324,7 +324,7 @@ def test_main_builds_each_checked_l_map_once(tmp_path, monkeypatch, config, gate
 )
 def test_main_analyses_each_gateset_once(tmp_path, monkeypatch, config, gatesets):
     # validation and the run share one theory object per gateset
-    analyses = _counting(monkeypatch, rblab.cli.theory, "analyse")
+    analyses = _counting(monkeypatch, rblab.cli.theory, "GatesetTheory")
     path = _write_config(tmp_path, config)
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert len(analyses) == gatesets

@@ -1,21 +1,22 @@
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from rblab import (
+    CliffordGroup,
     CoherentZ,
     CustomPrimitive,
     Effect,
     GateIndependent,
     GateSet,
+    GatesetTheory,
     GaugeTransform,
     Perfect,
     RBConfig,
     State,
     agi,
-    analyse,
     average_error_map,
     build_gateset,
     delta_diamond,
@@ -31,6 +32,8 @@ from rblab.superop import depolarizing_channel, rotation_channel
 def test_group_has_24_signed_permutations(group):
     assert len(group) == 24
     assert group.identity_index == 0
+    assert np.array_equal(group.ptms[group.identity_index], np.eye(4))
+    assert [f.name for f in fields(CliffordGroup) if f.init] == ["ptms", "cayley", "inverse", "words"]
     seen = set()
     for ptm in group.ptms:
         seen.add(ptm.astype(np.int8).tobytes())
@@ -217,10 +220,10 @@ def _array_holders(group, gateset):
         gateset,
         run_rb(gateset, RBConfig(lengths=(1, 2), k_per_length=2)),
         exact_decay(gateset)[0],
-        analyse(gateset),
+        GatesetTheory(gateset),
         delta_diamond(gateset),
         GaugeTransform(np.eye(4)),
-        wallman_gauge(analyse(gateset)),
+        wallman_gauge(GatesetTheory(gateset)),
     ]
 
 
@@ -240,7 +243,7 @@ def test_channel_holders_keep_a_read_only_copy(group):
     dep = GateIndependent(source)
     custom = CustomPrimitive(gx=source.tolist(), gy=source)
     source[1, 1] = 0.5  # each holds its own copy
-    wallman = wallman_gauge(analyse(build_gateset(dep, group)))
+    wallman = wallman_gauge(GatesetTheory(build_gateset(dep, group)))
     made = (rotation_channel(np.array([0.0, 0.0, 1.0]), 0.3), depolarizing_channel(0.9), *ideal_primitives().values())
     for channel in (dep.channel, custom.gx, custom.gy, wallman.l_op, *made):
         assert channel.shape == (4, 4) and channel.dtype == np.float64 and not channel.flags.writeable

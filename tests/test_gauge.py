@@ -1,14 +1,18 @@
 import multiprocessing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rblab import (
+    CounterexampleRow,
+    EpsilonMinResult,
+    GatesetTheory,
     GaugeTransform,
     Spam,
+    WallmanGauge,
     agi,
     agsi_of,
-    analyse,
     build_l_map,
     choi_eigenvalues,
     counterexample_epsilon_min,
@@ -260,24 +264,40 @@ def test_wallman_gauge_gate_independent(depolarizing_gateset, reference_primed_l
     residual = unvec(l_primed @ vec(candidate)) - candidate @ depolarizing_channel(lam)
     assert np.max(np.abs(residual)) < 1e-12
 
-    result = wallman_gauge(analyse(depolarizing_gateset))
+    analysis = GatesetTheory(depolarizing_gateset)
+    result = wallman_gauge(analysis)
     assert result.residual < 1e-8
-    assert abs(result.gamma - lam) < 1e-10
-    assert abs(result.epsilon_in_gauge - result.r_gamma) < 1e-8
+    assert abs(analysis.gamma - lam) < 1e-10
+    assert abs(result.epsilon_in_gauge - analysis.r_gamma) < 1e-8
     assert result.null_space_dim >= 1
 
 
 def test_wallman_gauge_epsilon_equals_r_gamma(coherent_gateset, general_gateset, random_gatesets):
     for gateset in [coherent_gateset, general_gateset, *random_gatesets[:2]]:
-        result = wallman_gauge(analyse(gateset))
+        analysis = GatesetTheory(gateset)
+        result = wallman_gauge(analysis)
         assert result.residual < 1e-8
-        assert abs(result.epsilon_in_gauge - result.r_gamma) < 1e-8
-        expected = gamma_and_r_gamma(build_l_map(gateset)).r_gamma
-        assert abs(result.r_gamma - expected) < 1e-12
+        assert abs(result.epsilon_in_gauge - analysis.r_gamma) < 1e-8
+        _, expected = gamma_and_r_gamma(build_l_map(gateset))
+        assert abs(analysis.r_gamma - expected) < 1e-12
 
 
 def test_wallman_gauge_reports_cp_violation(coherent_gateset):
-    result = wallman_gauge(analyse(coherent_gateset))
+    result = wallman_gauge(GatesetTheory(coherent_gateset))
     assert np.isfinite(result.min_choi_eigenvalue)
     # for purely coherent errors this representation is not completely positive
     assert result.min_choi_eigenvalue < 0.0
+
+
+def test_result_records_take_only_their_inputs():
+    init = {record: [f.name for f in fields(record) if f.init] for record in (CounterexampleRow, EpsilonMinResult, WallmanGauge)}
+    assert init == {
+        CounterexampleRow: ["alpha", "epsilon", "min_choi_eigenvalue", "r_reference"],
+        EpsilonMinResult: ["epsilon_min_estimate", "transform", "min_choi_eigenvalue"],
+        WallmanGauge: ["l_op", "epsilon_in_gauge", "min_choi_eigenvalue", "null_space_dim", "residual"],
+    }
+    # each CP flag is read off the smallest Choi eigenvalue at its own floor
+    identity = GaugeTransform(np.eye(4))
+    for value, row_cp, search_cp in ((0.0, True, True), (-1e-10, True, True), (-1e-9, False, True), (-2e-8, False, False)):
+        assert CounterexampleRow(1.0, 0.0, value, 0.0).all_cp is row_cp
+        assert EpsilonMinResult(0.0, identity, value).all_cp is search_cp

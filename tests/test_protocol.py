@@ -4,7 +4,7 @@ import multiprocessing
 import pickle
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from types import SimpleNamespace
 
@@ -15,8 +15,10 @@ from scipy.optimize import minimize_scalar
 from rblab import (
     Effect,
     FitError,
+    FitResult,
     RBConfig,
     RBDataset,
+    RBEstimate,
     Spam,
     State,
     estimate_r,
@@ -35,12 +37,7 @@ TILTED = np.array([1.0, 0.3, -0.5, np.sqrt(1.0 - 0.34)]) / np.sqrt(2.0)  # a pur
 
 
 def _dataset_from_means(lengths, means):
-    means = np.asarray(means, dtype=float)
-    return RBDataset(
-        lengths=tuple(int(m) for m in lengths),
-        survivals=tuple(np.array([v]) for v in means),
-        means=means,
-    )
+    return RBDataset(lengths=tuple(int(m) for m in lengths), survivals=tuple(np.array([float(v)]) for v in means))
 
 
 def _simulate(tmp_path):
@@ -327,19 +324,23 @@ def test_blocks_match_one_by_one_bitwise(general_gateset, reference_survivals):
 
 def test_dataset_validation_and_csv(tmp_path):
     with pytest.raises(ValueError, match="lie in"):
-        RBDataset(lengths=(1,), survivals=(np.array([1.5]),), means=np.array([1.5]))
-    with pytest.raises(ValueError, match="inconsistent"):
-        RBDataset(lengths=(1,), survivals=(np.array([0.5, 0.6]),), means=np.array([0.7]))
-    # NaN fails every comparison, so each check must reject it too
+        RBDataset(lengths=(1,), survivals=(np.array([1.5]),))
+    # NaN fails every comparison, so the range check must reject it too
     with pytest.raises(ValueError, match="lie in"):
-        RBDataset(lengths=(1, 2, 3, 4, 5), survivals=(np.array([np.nan, 0.5]),) * 5, means=[np.nan] * 5)
-    with pytest.raises(ValueError, match="inconsistent"):
-        RBDataset(lengths=(1,), survivals=(np.array([0.5, 0.6]),), means=[np.nan])
-    # one survival array and one mean per length: a zip of the three would check only the shortest
+        RBDataset(lengths=(1, 2, 3, 4, 5), survivals=(np.array([np.nan, 0.5]),) * 5)
+    # one survival array per length: a zip of the two would check only the shortest
     with pytest.raises(ValueError, match="one entry per length"):
-        RBDataset(lengths=(1, 11, 21, 31), survivals=(np.array([0.9, 0.91]),), means=[0.905, 0.5, 0.4, 0.3])
+        RBDataset(lengths=(1, 11, 21, 31), survivals=(np.array([0.9, 0.91]),))
     with pytest.raises(ValueError, match="one entry per length"):
-        RBDataset(lengths=(1, 11), survivals=(np.array([0.9]), np.array([0.5])), means=[0.9])
+        RBDataset(lengths=(1,), survivals=(np.array([0.9]), np.array([0.5])))
+    # a length with no sequence has no mean
+    with pytest.raises(ValueError, match="at least one survival probability"):
+        RBDataset(lengths=(1, 11), survivals=(np.array([0.9]), np.array([])))
+    # the means are derived, one per length, read-only
+    dataset = RBDataset(lengths=(1, 11), survivals=(np.array([0.5, 0.6]), np.array([0.3])))
+    assert dataset.means.tolist() == [np.array([0.5, 0.6]).mean(), 0.3] and not dataset.means.flags.writeable
+    with pytest.raises(TypeError):
+        RBDataset(lengths=(1,), survivals=(np.array([0.5]),), means=np.array([0.7]))
     # the simulate command writes the dataset as CSV
     lines = (_simulate(tmp_path) / "rb_dataset.csv").read_text().splitlines()
     assert lines[0].startswith("#")
@@ -487,7 +488,6 @@ def test_fit_does_not_depend_on_the_order_of_the_lengths(coherent_gateset):
     permuted = RBDataset(
         lengths=tuple(dataset.lengths[i] for i in order),
         survivals=tuple(dataset.survivals[i] for i in order),
-        means=dataset.means[order],
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -520,6 +520,35 @@ def test_fit_flags_no_decay():
 def test_config_needs_a_length():
     with pytest.raises(ValueError, match="at least one length"):
         RBConfig(lengths=())
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"lengths": (1.7, 3)},
+        {"lengths": (True, 3)},
+        {"lengths": (1, 3.0)},
+        {"lengths": (0, 3)},
+        {"k_per_length": 2.5},
+        {"k_per_length": True},
+        {"k_per_length": 0},
+        {"seed": -1},
+        {"seed": 1.0},
+        {"repeats": 2.5},
+        {"repeats": 0},
+    ],
+    ids=repr,
+)
+def test_config_rejects_sizes_that_are_not_integers_in_range(changes):
+    # each was accepted: 1.7 and True read as length 1, and k 2.5 and seed -1 failed only in run_rb
+    with pytest.raises(ValueError, match="must be an integer >="):
+        RBConfig(**changes)
+
+
+def test_config_takes_numpy_integers(perfect_gateset):
+    config = RBConfig(lengths=np.array([1, 51], dtype=np.int32), k_per_length=np.int64(5), seed=np.uint64(3))
+    assert config.lengths == (1, 51) and all(type(m) is int for m in config.lengths)
+    assert np.allclose(run_rb(perfect_gateset, config).means, 1.0, atol=1e-12)
 
 
 def test_fit_requires_enough_lengths():
@@ -712,6 +741,31 @@ def test_simulate_batch_keeps_one_layout(coherent_gateset, depolarizing_gateset,
     assert [ref() is not None for ref in built] == [False, False, True]
     gates, steps, _ = protocol._last_circuits["circuits"]
     assert not gates.flags.writeable and not steps.flags.writeable
+
+
+def test_records_take_only_their_inputs():
+    init = {record: [f.name for f in fields(record) if f.init] for record in (RBDataset, FitResult, RBEstimate)}
+    assert init == {
+        RBDataset: ["lengths", "survivals"],
+        FitResult: ["model", "a", "b", "c", "p", "residual_norm", "flags"],
+        RBEstimate: ["fits", "failures"],
+    }
+
+
+def test_records_pickle(coherent_gateset):
+    # datasets go to `_fork_map`'s workers and fits come back from them
+    dataset = run_rb(coherent_gateset, SHORT)
+    fits = (fit_decay(dataset), fit_decay(_dataset_from_means(LENGTHS, np.ones(len(LENGTHS)))))
+    estimate = RBEstimate(fits=fits[:1] * 2, failures=1)
+    copy = pickle.loads(pickle.dumps(dataset))
+    assert copy.lengths == dataset.lengths
+    assert all(map(np.array_equal, copy.survivals, dataset.survivals))
+    assert copy.means.tobytes() == dataset.means.tobytes()
+    fitted, flat = (pickle.loads(pickle.dumps(fit)) for fit in fits)
+    assert fitted == fits[0] and fitted.r_hat == (1.0 - fits[0].p) / 2
+    assert repr(flat) == repr(fits[1]) and np.isnan(flat.r_hat)  # its p is NaN, which equals nothing
+    copied = pickle.loads(pickle.dumps(estimate))
+    assert copied == estimate and (copied.r_mean, copied.r_std) == (fits[0].r_hat, 0.0)
 
 
 def test_fit_error_pickles():

@@ -1,13 +1,14 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 import rblab.theory
 from rblab import (
     CoherentZ,
-    GammaResult,
+    DeltaBound,
     GatesetTheory,
     Spam,
-    analyse,
     build_gateset,
     build_l_map,
     build_r_matrix,
@@ -87,7 +88,23 @@ def test_theories_reject_lengths_below_one(coherent_gateset, lengths):
     with pytest.raises(ValueError, match=">= 1"):
         exact_decay(coherent_gateset, lengths=lengths)
     with pytest.raises(ValueError, match=">= 1"):
-        predicted_decay(analyse(coherent_gateset), lengths=lengths)
+        predicted_decay(GatesetTheory(coherent_gateset), lengths=lengths)
+
+
+@pytest.mark.parametrize("lengths", [[1.9], [2.5], 2.0, [True, 3], np.array([1.0, 2.0])])
+def test_theories_reject_lengths_that_are_not_integers(coherent_gateset, lengths):
+    # each was read as int(m): 1.9 as 1, 2.5 as 2, True as 1
+    with pytest.raises(ValueError, match="integer"):
+        exact_decay(coherent_gateset, lengths=lengths)
+    with pytest.raises(ValueError, match="integer"):
+        predicted_decay(GatesetTheory(coherent_gateset), lengths=lengths)
+
+
+def test_theories_take_one_length_or_numpy_integers(coherent_gateset):
+    analysis = GatesetTheory(coherent_gateset)
+    lengths = np.array([1, 51], dtype=np.int32)
+    assert np.array_equal(exact_decay(coherent_gateset, lengths=51)[1], exact_decay(coherent_gateset, lengths=[51])[1])
+    assert np.array_equal(predicted_decay(analysis, lengths=lengths), predicted_decay(analysis, lengths=[1, 51]))
 
 
 def test_l_map_perfect_is_twirl_projector(perfect_gateset):
@@ -118,9 +135,9 @@ def test_primed_map_is_a_permutation_of_l_map(
 
 def test_gamma_gate_independent(depolarizing_gateset):
     l_map = build_l_map(depolarizing_gateset)
-    result = gamma_and_r_gamma(l_map)
-    assert abs(result.gamma - 0.99) < 1e-12
-    assert abs(result.r_gamma - 0.005) < 1e-12
+    gamma, r_gamma = gamma_and_r_gamma(l_map)
+    assert abs(gamma - 0.99) < 1e-12
+    assert abs(r_gamma - 0.005) < 1e-12
     # every eigenvalue below the unit one and gamma vanishes
     moduli = np.sort(np.abs(np.linalg.eigvals(l_map)))[::-1]
     assert np.all(moduli[2:] < 1e-10)
@@ -136,23 +153,33 @@ def test_gamma_scaling_with_theta(group, table):
     r_gammas = []
     for theta in thetas:
         gateset = build_gateset(CoherentZ(float(theta)), group, table)
-        r_gammas.append(gamma_and_r_gamma(build_l_map(gateset)).r_gamma)
+        r_gammas.append(gamma_and_r_gamma(build_l_map(gateset))[1])
     slope = np.polyfit(np.log(thetas), np.log(r_gammas), 1)[0]
     assert abs(slope - 4.0) < 0.3
 
 
 def test_predicted_decay_perfect(perfect_gateset):
-    # `analyse` rejects the perfect gateset (its unit eigenvalue is degenerate);
-    # the formula still holds at the limit gamma = 1
-    analysis = GatesetTheory(perfect_gateset, build_l_map(perfect_gateset), GammaResult(gamma=1.0, r_gamma=0.0))
-    values = predicted_decay(analysis, lengths=[1, 2, 51])
-    assert np.allclose(values, 1.0, atol=1e-12)
+    # the perfect gateset's unit eigenvalue is degenerate, so it has no theory
+    # to predict from: the limit gamma = 1 cannot be built
+    with pytest.raises(ValueError, match="unit eigenvalue"):
+        GatesetTheory(perfect_gateset)
+
+
+def test_gateset_theory_derives_its_fields(coherent_gateset):
+    analysis = GatesetTheory(coherent_gateset)
+    assert [f.name for f in fields(GatesetTheory) if f.init] == ["gateset"]
+    assert np.array_equal(analysis.l_map, build_l_map(coherent_gateset))
+    assert (analysis.gamma, analysis.r_gamma) == gamma_and_r_gamma(analysis.l_map)
+    assert analysis.r_gamma == (1.0 - analysis.gamma) / 2
+    with pytest.raises(TypeError):
+        GatesetTheory(coherent_gateset, analysis.l_map)
+    assert np.array_equal(replace(analysis).l_map, analysis.l_map)
 
 
 def test_predicted_equals_exact_for_gate_independent(depolarizing_gateset):
     lengths = [1, 2, 51, 101, 501]
     _, exact = exact_decay(depolarizing_gateset, lengths=lengths)
-    predicted = predicted_decay(analyse(depolarizing_gateset), lengths=lengths)
+    predicted = predicted_decay(GatesetTheory(depolarizing_gateset), lengths=lengths)
     assert np.max(np.abs(exact - predicted)) < 1e-12
 
 
@@ -165,10 +192,11 @@ def test_delta_diamond_bounds_model_error(coherent_gateset, brute_force_pm):
     bound = delta_diamond(coherent_gateset)
     assert bound.delta_diamond > 0
     assert bound.per_gate_distances.shape == (24,)
-    assert abs(bound.delta_diamond - bound.per_gate_distances.mean() / 2.0) < 1e-15
+    assert bound.delta_diamond == bound.per_gate_distances.mean() / 2.0
+    assert [f.name for f in fields(DeltaBound) if f.init] == ["per_gate_distances", "per_gate_upper"]
     lengths = [1, 2, 51, 101, 501, 1001]
     _, exact = exact_decay(coherent_gateset, lengths=lengths)
-    predicted = predicted_decay(analyse(coherent_gateset), lengths=lengths)
+    predicted = predicted_decay(GatesetTheory(coherent_gateset), lengths=lengths)
     assert np.max(np.abs(exact - predicted)) <= bound.delta_diamond
     # desk-scale consistency triangle at m = 1, 2
     for m, ex, pred in zip(lengths[:2], exact[:2], predicted[:2]):
@@ -194,15 +222,11 @@ def test_exact_decay_exponential_for_long_sequences(coherent_gateset):
 
     lengths = np.arange(51, 2002, 50)
     _, values = exact_decay(coherent_gateset, lengths=lengths)
-    dataset = RBDataset(
-        lengths=tuple(int(m) for m in lengths),
-        survivals=tuple(np.array([v]) for v in values),
-        means=values,
-    )
+    dataset = RBDataset(lengths=tuple(int(m) for m in lengths), survivals=tuple(np.array([v]) for v in values))
     fit = fit_decay(dataset, model="zeroth")
     assert fit.residual_norm < 1e-6
-    gamma = gamma_and_r_gamma(build_l_map(coherent_gateset))
-    assert abs(fit.r_hat - gamma.r_gamma) < 1e-10
+    _, r_gamma = gamma_and_r_gamma(build_l_map(coherent_gateset))
+    assert abs(fit.r_hat - r_gamma) < 1e-10
 
 
 def test_spam_enters_predictions(depolarizing_gateset):
