@@ -11,13 +11,15 @@ the state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
 
 from .superop import (
+    Spam,
+    _read_only_record,
     as_channel,
     depolarizing_channel,
     is_cp,
@@ -65,7 +67,7 @@ def _snap_to_int(ptm: np.ndarray) -> np.ndarray:
     return snapped
 
 
-@dataclass(frozen=True, eq=False)
+@_read_only_record
 class CliffordGroup:
     """The group as its exact PTM stack plus composition and inverse tables.
 
@@ -201,7 +203,7 @@ def _split_rotation_vector(rot) -> tuple[float, tuple[float, float, float]]:
     return theta, tuple(rot / theta)
 
 
-@dataclass(frozen=True, eq=False)
+@_read_only_record
 class GateIndependent:
     """A single error channel applied before every Clifford at the Clifford
     level (not per primitive), including the identity Clifford."""
@@ -216,7 +218,7 @@ class GateIndependent:
         return cls(depolarizing_channel(lam))
 
 
-@dataclass(frozen=True, eq=False)
+@_read_only_record
 class CustomPrimitive:
     """Explicit imperfect primitive channels."""
 
@@ -251,7 +253,7 @@ def _imperfect_primitives(model: ErrorModel, ideal: dict[str, np.ndarray]) -> di
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@_read_only_record
 class GateSet:
     """Ideal Clifford group together with its imperfect implementation.
 
@@ -259,11 +261,13 @@ class GateSet:
     indexed like the group. For word-compiled error models each is the
     product of imperfect primitives along the compilation word (so the
     identity Clifford stays perfect); GateIndependent instead multiplies its
-    channel onto every ideal Clifford directly.
+    channel onto every ideal Clifford directly. spam, ideal by default, is
+    the state every circuit starts from and the effect it ends with.
     """
 
     ideal: CliffordGroup
     ptms: np.ndarray
+    spam: Spam = field(default_factory=Spam.ideal)
 
     def __post_init__(self):
         ptms = np.array(self.ptms, dtype=float)

@@ -1,31 +1,32 @@
 """Gauge freedom of gateset representations.
 
-A gauge transformation conjugates every gate by an invertible map M and
-transforms states and effects oppositely, leaving every circuit probability
-unchanged. The average gateset infidelity is not gauge invariant; this
-module quantifies that, builds the diagonal family which lowers it below the
-RB number while staying physical, searches for the minimal-infidelity CPTP
-representation, and constructs the gauge in which the average error map is
-exactly depolarizing (making the infidelity equal r_gamma).
+A gauge transformation (`GaugeTransform.transform_gateset`) conjugates every
+gate by an invertible map M and moves the state by M and the effect by M^-T,
+leaving every circuit probability unchanged. The average gateset infidelity
+is not gauge invariant; this module quantifies that, builds the diagonal
+family which lowers it below the RB number while staying physical, searches
+for the minimal-infidelity CPTP representation, and constructs the gauge in
+which the average error map is exactly depolarizing (making the infidelity
+equal r_gamma).
 
 Its results hold only their inputs: each CP flag is read off the smallest Choi eigenvalue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .clifford import GateIndependent, GateSet, build_gateset
-from .protocol import Spam, _fork_map
+from .protocol import _fork_map
 from .superop import (
     PTM_TO_CHOI,
-    Effect,
-    State,
+    Spam,
     _chois,
     _nelder_mead,
+    _read_only_record,
     agi,
     as_channel,
     depolarizing_channel,
@@ -59,11 +60,12 @@ def _tp_form(params: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
+@_read_only_record
 class GaugeTransform:
-    """Invertible 4x4 conjugator in trace-preserving form (first row e0)."""
+    """Invertible 4x4 conjugator m in trace-preserving form (first row e0), and its inverse."""
 
     m: np.ndarray
+    m_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.m, dtype=float)
@@ -77,10 +79,9 @@ class GaugeTransform:
             raise ValueError("gauge transform is singular") from exc
         if np.max(np.abs(m @ m_inv - np.eye(4))) > 1e-10:
             raise ValueError("gauge transform is too ill-conditioned to invert")
-        m.setflags(write=False)
-        m_inv.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "m_inv", m_inv)
+        for name, value in (("m", m), ("m_inv", m_inv)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def random_tp(cls, seed: int, scale: float) -> "GaugeTransform":
@@ -88,18 +89,13 @@ class GaugeTransform:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         return cls(_tp_form(scale * rng.standard_normal((3, 4))))
 
-    def transform_spam(self, spam: Spam) -> Spam:
-        """The state goes to M rho and the effect to M^-T E, so every
-        circuit probability is unchanged."""
-        return Spam(
-            State(self.m @ spam.state.coeffs, validate=False),
-            Effect(self.m_inv.T @ spam.effect.coeffs, validate=False),
-        )
-
     def transform_gateset(self, gateset: GateSet) -> GateSet:
-        """Conjugate the imperfect representation only; the ideal gates keep
-        their standard representation."""
-        return GateSet(gateset.ideal, self.m @ gateset.ptms @ self.m_inv)
+        """The gateset in this gauge: each imperfect gate goes to M C~ M^-1,
+        the state to M rho and the effect to M^-T E, so every circuit
+        probability is unchanged. The ideal gates keep their standard
+        representation."""
+        spam = Spam(self.m @ gateset.spam.state, self.m_inv.T @ gateset.spam.effect)
+        return GateSet(gateset.ideal, self.m @ gateset.ptms @ self.m_inv, spam)
 
 
 def agsi_of(gateset: GateSet) -> float:

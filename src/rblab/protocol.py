@@ -3,17 +3,18 @@
 One sequence engine serves every caller: `sequence_survivals` completes each
 random Clifford sequence with its inverting gate, found with the group tables
 (no matrix algebra), and gives the exact Born survival probability of that
-circuit, so the only randomness is the choice of sequences (no shot noise).
-It takes a list of blocks of any lengths and steps them all at once, and
-`run_rb` steps its lengths in such batches. Every sequence length draws from
+circuit from the gateset's state to its effect (`GateSet.spam`), so the only
+randomness is the choice of sequences (no shot noise). It takes a list of
+blocks of any lengths and steps them all at once, and `run_rb` steps its
+lengths in such batches. Every sequence length draws from
 its own RNG stream derived from (seed, length index), and `repeat_datasets`
 derives each repeat's seed from (seed, repeat index), so results do not
 depend on evaluation order or batching. The circuits depend only on the
-group and the draws, so `run_rb` keeps the last batch's folded circuits
-and reuses them on the next call with the same group object, seed,
-lengths, k_per_length and batch: `estimate_rs` runs its gatesets repeat by
-repeat, so on one group each repeat draws and folds its circuits once for
-every gateset.
+group and the draws, not on the gates or the SPAM, so `run_rb` keeps the
+last batch's folded circuits and reuses them on the next call with the
+same group object, seed, lengths, k_per_length and batch: `estimate_rs`
+runs its gatesets repeat by repeat, so on one group each repeat draws and
+folds its circuits once for every gateset.
 
 `fit_decay` searches p and solves the amplitudes linearly at each trial p
 with LAPACK's `dgelsd` (numpy's build), through the gufunc behind
@@ -56,12 +57,11 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .clifford import GateSet
-from .superop import Effect, State
+from .superop import _read_only_record
 
 __all__ = [
     "DEFAULT_LENGTHS",
     "FIT_PARAMETERS",
-    "Spam",
     "RBConfig",
     "RBDataset",
     "FitResult",
@@ -92,19 +92,6 @@ class FitError(RuntimeError):
         return type(self), (self.message, self.best_residual)
 
 
-@dataclass(frozen=True)
-class Spam:
-    """State preparation and measurement pair."""
-
-    state: State
-    effect: Effect
-
-    @classmethod
-    def ideal(cls) -> "Spam":
-        """Perfect preparation of and projection onto the +1 eigenstate of sigma_z."""
-        return cls(State.z_plus(), Effect.z_plus())
-
-
 def _is_integer(value) -> bool:
     """An integer, Python's or numpy's; a bool, which Python counts as an int, is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -131,7 +118,6 @@ class RBConfig:
     k_per_length: int = 500
     seed: int = 0
     repeats: int = 50
-    spam: Spam = field(default_factory=Spam.ideal)
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", _checked_lengths(self.lengths))
@@ -140,7 +126,7 @@ class RBConfig:
         _check_integer("repeats", self.repeats, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@_read_only_record
 class RBDataset:
     """Exact per-sequence survival probabilities per length; their means are derived."""
 
@@ -257,15 +243,17 @@ def _fold_inversions(group, gates: np.ndarray, ends: np.ndarray) -> None:
         np.take(after, products[:stop] + gates[t, :stop], out=products[:stop])
 
 
-def _step_survivals(ptms: np.ndarray, gates: np.ndarray, ends: np.ndarray, rows, spam: Spam) -> list[np.ndarray]:
+def _step_survivals(gateset: GateSet, gates: np.ndarray, ends: np.ndarray, rows) -> list[np.ndarray]:
     """Exact survival of every row of a step-major layout after its ends[r]
-    steps, one array per block of `rows`."""
-    states = np.broadcast_to(spam.state.coeffs, (gates.shape[1], 4)).copy()
+    steps, from the gateset's state to its effect, one array per block of
+    `rows`."""
+    ptms, spam = gateset.ptms, gateset.spam
+    states = np.broadcast_to(spam.state, (gates.shape[1], 4)).copy()
     for step, width in zip(gates, _running(ends, len(gates))):
         states[:width] = np.einsum("nij,nj->ni", np.take(ptms, step[:width], axis=0), states[:width])
     # one product per block, as if each were alone: BLAS sums a one-row
     # product in another order than a many-row one
-    return [states[r] @ spam.effect.coeffs for r in rows]
+    return [states[r] @ spam.effect for r in rows]
 
 
 def _circuits(group, blocks):
@@ -280,14 +268,15 @@ def _circuits(group, blocks):
     return gates, ends + 1, rows
 
 
-def sequence_survivals(gateset: GateSet, blocks, spam: Spam) -> list[np.ndarray]:
+def sequence_survivals(gateset: GateSet, blocks) -> list[np.ndarray]:
     """Exact survival probabilities of RB sequences, each completed by its
-    inverting Clifford: `blocks` is a list of (k_i, m_i) arrays of Clifford
-    indices (applied left to right, every m_i >= 1) of any lengths. Returns
-    one array of k_i survivals per block. Raises ValueError for a block that
+    inverting Clifford and run from the gateset's state to its effect:
+    `blocks` is a list of (k_i, m_i) arrays of Clifford indices (applied
+    left to right, every m_i >= 1) of any lengths. Returns one array of k_i
+    survivals per block. Raises ValueError for a block that
     is not a 2-D integer array with m_i >= 1 and every index in [0, |C|)."""
     blocks = [_checked_block(block, len(gateset.ideal)) for block in blocks]
-    return _step_survivals(gateset.ptms, *_circuits(gateset.ideal, blocks), spam)
+    return _step_survivals(gateset, *_circuits(gateset.ideal, blocks))
 
 
 def _checked_block(block, size: int) -> np.ndarray:
@@ -349,7 +338,7 @@ def _simulate_batch(gateset: GateSet, config: RBConfig, batch: list[int]) -> lis
         gates.setflags(write=False)
         steps.setflags(write=False)
         _last_circuits.update(group=group, key=key, circuits=(gates, steps, tuple(rows)))
-    return _step_survivals(gateset.ptms, *_last_circuits["circuits"], config.spam)
+    return _step_survivals(gateset, *_last_circuits["circuits"])
 
 
 def _fork_workers(items: int) -> int:

@@ -7,26 +7,25 @@ Conventions, fixed package-wide:
   component, and `A @ B` applies B first, then A. A channel is trace
   preserving iff its first row is (1, 0, ..., 0) and unital iff its first
   column is (1, 0, ..., 0)^T.
-* States and measurement effects are real coefficient vectors in the same
-  basis; Born probabilities are plain dot products of those vectors.
+* A state and an effect are real coefficient vectors in the same basis (a
+  `Spam`); Born probabilities are plain dot products of those vectors.
 * Matrices are vectorized by column stacking, so vec(A X B) =
   (B^T kron A) vec(X).
 
 The package is one qubit only: the Hilbert-space dimension is 2 throughout,
 so every PTM is 4x4 and every state or effect a 4-vector: `as_channel`
-rejects any other PTM shape, and `State` and `Effect` any other vector.
+rejects any other PTM shape, and `Spam` any other vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
     "as_channel",
-    "State",
-    "Effect",
+    "Spam",
     "PAULI_BASIS",
     "vec",
     "unvec",
@@ -75,56 +74,39 @@ def as_channel(matrix) -> np.ndarray:
     return ptm
 
 
-def _coeff_vector(coeffs) -> np.ndarray:
-    """Read-only float copy of a Pauli-basis 4-vector."""
-    coeffs = np.array(coeffs, dtype=float)
-    if coeffs.shape != (4,):
-        raise ValueError(f"coefficient vector must have 4 entries (dimension 2), got shape {coeffs.shape}")
-    coeffs.setflags(write=False)
-    return coeffs
+def _read_only_record(cls):
+    """`dataclass(frozen=True, eq=False)` for a record whose constructor makes
+    its arrays read-only: it pickles through that constructor, from its init
+    fields, since numpy unpickles every array writable."""
+    cls.__reduce__ = lambda self: (type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init))
+    return dataclass(frozen=True, eq=False)(cls)
 
 
-@dataclass(frozen=True, eq=False)
-class State:
-    """Density operator as a real Pauli-basis coefficient vector."""
+@_read_only_record
+class Spam:
+    """SPAM: the prepared state's and the measured effect's read-only
+    Pauli-basis 4-vectors. The state must have unit trace, which every
+    TP-form gauge keeps; positivity holds in one gauge only and is not
+    checked (`RBDataset` checks the survival probabilities instead)."""
 
-    coeffs: np.ndarray
-    validate: bool = True
-
-    def __post_init__(self):
-        coeffs = _coeff_vector(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.validate:
-            if abs(coeffs[0] - 1.0 / np.sqrt(2.0)) > STRUCTURAL_TOL:
-                raise ValueError("state is not unit trace (coefficient 0 must be 1/sqrt(2))")
-            if np.linalg.norm(coeffs[1:]) > 1.0 / np.sqrt(2.0) + STRUCTURAL_TOL:
-                raise ValueError("Bloch vector norm exceeds 1")
-
-    @classmethod
-    def z_plus(cls) -> "State":
-        """|0><0|, the +1 eigenstate of sigma_z."""
-        return cls(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
-
-
-@dataclass(frozen=True, eq=False)
-class Effect:
-    """POVM effect as a real Pauli-basis coefficient vector."""
-
-    coeffs: np.ndarray
-    validate: bool = True
+    state: np.ndarray
+    effect: np.ndarray
 
     def __post_init__(self):
-        coeffs = _coeff_vector(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if self.validate:
-            ev = np.linalg.eigvalsh(np.einsum("j,jab->ab", coeffs, PAULI_BASIS))
-            if ev[0] < -STRUCTURAL_TOL or ev[-1] > 1.0 + STRUCTURAL_TOL:
-                raise ValueError("effect eigenvalues must lie in [0, 1]")
+        for name in ("state", "effect"):
+            coeffs = np.array(getattr(self, name), dtype=float)
+            if coeffs.shape != (4,):
+                raise ValueError(f"{name} must have 4 coefficients (dimension 2), got shape {coeffs.shape}")
+            coeffs.setflags(write=False)
+            object.__setattr__(self, name, coeffs)
+        if abs(self.state[0] - 1.0 / np.sqrt(2.0)) > STRUCTURAL_TOL:
+            raise ValueError("state is not unit trace (coefficient 0 must be 1/sqrt(2))")
 
     @classmethod
-    def z_plus(cls) -> "Effect":
-        """Projector onto the +1 eigenstate of sigma_z."""
-        return cls(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+    def ideal(cls) -> "Spam":
+        """Preparation of, and projection onto, |0><0|, the +1 eigenstate of sigma_z."""
+        z_plus = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        return cls(z_plus, z_plus)
 
 
 def rotation_channel(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Representation-independent theories of the RB decay.
 
-Two decay predictors for a gateset:
+Two decay predictors for a gateset, its gates and its SPAM (`GateSet.spam`):
 
 * the exact one, from the spectrum of a 4|C| x 4|C| block matrix whose
   (k, j) block is the imperfect implementation of C_k C_j^{-1} divided by
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clifford import GateSet, average_error_map, error_maps
-from .protocol import Spam, _checked_lengths
+from .protocol import _checked_lengths
 from .superop import diamond_bracket, vec, unvec
 
 __all__ = [
@@ -101,30 +101,19 @@ def _lengths(lengths) -> np.ndarray:
     return np.array(_checked_lengths(lengths if np.ndim(lengths) else [lengths]))
 
 
-def _spam_vectors(spam: Spam, size: int) -> tuple[np.ndarray, np.ndarray]:
-    rho = np.zeros(4 * size)
-    eff = np.zeros(4 * size)
-    rho[:4] = spam.state.coeffs
-    eff[:4] = spam.effect.coeffs
-    return eff, rho
-
-
-def exact_decay(
-    gateset: GateSet,
-    spam: Spam | None = None,
-    lengths=(1,),
-) -> tuple[SpectralDecay, np.ndarray]:
-    """Average survival probability over all sequences, for every length.
+def exact_decay(gateset: GateSet, lengths=(1,)) -> tuple[SpectralDecay, np.ndarray]:
+    """Average survival probability over all sequences, from the gateset's
+    state to its effect, for every length.
 
     Uses the eigendecomposition of the block matrix; if that basis is
     numerically defective (condition number above 1e8), falls back to
     iterated block multiplication and reports no weights.
     """
-    spam = spam if spam is not None else Spam.ideal()
     lengths = _lengths(lengths)
     r_matrix = build_r_matrix(gateset)
     size = len(gateset.ideal)
-    eff, rho = _spam_vectors(spam, size)
+    # block 0, the identity's, holds the state and the effect
+    rho, eff = (np.concatenate([v, np.zeros(4 * size - 4)]) for v in (gateset.spam.state, gateset.spam.effect))
 
     eigvals, eigvecs = np.linalg.eig(r_matrix)
     cond = np.linalg.cond(eigvecs)
@@ -207,13 +196,13 @@ class GatesetTheory:
         object.__setattr__(self, "r_gamma", r_gamma)
 
 
-def predicted_decay(analysis: GatesetTheory, spam: Spam | None = None, lengths=(1,)) -> np.ndarray:
+def predicted_decay(analysis: GatesetTheory, lengths=(1,)) -> np.ndarray:
     """Approximate decay Tr(E Lbar [L^m(Id)](rho)) by iterated application
-    of the analysed gateset's 16x16 map to the vectorized identity channel."""
-    spam = spam if spam is not None else Spam.ideal()
+    of the analysed gateset's 16x16 map to the vectorized identity channel,
+    with the gateset's state rho and effect E."""
     lengths = _lengths(lengths)
     lbar = average_error_map(analysis.gateset)
-    eff, rho = spam.effect.coeffs, spam.state.coeffs
+    eff, rho = analysis.gateset.spam.effect, analysis.gateset.spam.state
     powers = _powers_applied(analysis.l_map, vec(np.eye(4)), lengths)
     return np.array([float(eff @ (lbar @ unvec(v) @ rho)) for v in powers], dtype=float)
 

@@ -10,9 +10,6 @@ from rblab import (
     GateIndependent,
     GeneralPrimitive,
     Perfect,
-    Effect,
-    Spam,
-    State,
     agi,
     build_gateset,
     compile_cliffords,
@@ -22,22 +19,22 @@ from rblab import (
 from rblab.superop import PAULI_BASIS, STRUCTURAL_TOL
 
 
-def _reference_survivals(gateset, sequences, spam=None):
+def _reference_survivals(gateset, sequences):
     """Survival of each row of an (n, m) index batch completed by its
-    inversion: the batched fold and matmul step loop written out on its own,
-    as an independent check of the `rblab.protocol` sequence engine."""
-    spam = spam if spam is not None else Spam.ideal()
+    inversion, from the gateset's state to its effect: the batched fold and
+    matmul step loop written out on its own, as an independent check of the
+    `rblab.protocol` sequence engine."""
     group = gateset.ideal
     ptms = gateset.ptms
     products = sequences[:, 0].copy()
     for t in range(1, sequences.shape[1]):
         products = group.cayley[sequences[:, t], products]
     inversions = group.inverse[products]
-    states = np.broadcast_to(spam.state.coeffs, (len(sequences), 4)).copy()
+    states = np.broadcast_to(gateset.spam.state, (len(sequences), 4)).copy()
     for t in range(sequences.shape[1]):
         states = np.matmul(ptms[sequences[:, t]], states[:, :, None])[:, :, 0]
     states = np.matmul(ptms[inversions], states[:, :, None])[:, :, 0]
-    return states @ spam.effect.coeffs
+    return states @ gateset.spam.effect
 
 
 @pytest.fixture(scope="session")
@@ -94,15 +91,14 @@ def agi_haar_oracle():
     return _agi_haar_oracle
 
 
-def _brute_force_pm(gateset, spam=None, m=1):
+def _brute_force_pm(gateset, m=1):
     """Average survival at length m over all |C|**m sequences, enumerated
     and run through `rblab.protocol.sequence_survivals`: ground truth for
     small m, as a check of the exact and sampled decays."""
-    spam = spam if spam is not None else Spam.ideal()
     if m > 3:
         raise ValueError("brute force enumeration is capped at m = 3")
     sequences = np.array(list(product(range(len(gateset.ideal)), repeat=m)), dtype=np.intp)
-    return float(np.mean(sequence_survivals(gateset, [sequences], spam)[0]))
+    return float(np.mean(sequence_survivals(gateset, [sequences])[0]))
 
 
 @pytest.fixture(scope="session")
@@ -150,14 +146,16 @@ def _coeffs_of_operator(op, what):
 
 @pytest.fixture(scope="session")
 def state_from_density_matrix():
-    """A `State` from its 2x2 density matrix."""
-    return lambda rho: State(_coeffs_of_operator(rho, "density matrix"))
+    """The Pauli coefficient vector of a state, a `Spam.state`, from its 2x2
+    density matrix."""
+    return lambda rho: _coeffs_of_operator(rho, "density matrix")
 
 
 @pytest.fixture(scope="session")
 def effect_from_operator():
-    """An `Effect` from its 2x2 operator."""
-    return lambda op: Effect(_coeffs_of_operator(op, "effect operator"))
+    """The Pauli coefficient vector of an effect, a `Spam.effect`, from its
+    2x2 operator."""
+    return lambda op: _coeffs_of_operator(op, "effect operator")
 
 
 def _reference_ptm_to_choi():

@@ -15,7 +15,6 @@ from rblab import (
     GatesetTheory,
     GaugeTransform,
     RBConfig,
-    Spam,
     agi,
     agsi_of,
     build_gateset,
@@ -186,11 +185,10 @@ def test_criterion_7_gauge_invariance(coherent_gateset, coherent_estimate):
         spectrum = np.linalg.eigvals(build_l_map(transformed))
         assert _multiset_distance(base_spectrum, spectrum) < 1e-9, f"gauge {index}: spectrum moved"
 
-        spam = transform.transform_spam(Spam.ideal())
         estimate = estimate_r(
             transformed,
             RBConfig(lengths=DEFAULT_LENGTHS, k_per_length=K_PER_LENGTH,
-                     seed=7000 + index, repeats=gauge_repeats, spam=spam),
+                     seed=7000 + index, repeats=gauge_repeats),
         )
         gauge_se = estimate.r_std / np.sqrt(gauge_repeats)
         band = 4.0 * np.sqrt(base_se**2 + gauge_se**2)

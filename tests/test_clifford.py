@@ -1,5 +1,7 @@
+import pickle
 from collections import deque
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -8,14 +10,13 @@ from rblab import (
     CliffordGroup,
     CoherentZ,
     CustomPrimitive,
-    Effect,
     GateIndependent,
     GateSet,
     GatesetTheory,
     GaugeTransform,
     Perfect,
     RBConfig,
-    State,
+    Spam,
     agi,
     average_error_map,
     build_gateset,
@@ -214,8 +215,7 @@ def _array_holders(group, gateset):
     return [
         GateIndependent.depolarizing(0.9),
         CustomPrimitive(np.eye(4), np.eye(4)),
-        State.z_plus(),
-        Effect.z_plus(),
+        Spam.ideal(),
         group,
         gateset,
         run_rb(gateset, RBConfig(lengths=(1, 2), k_per_length=2)),
@@ -233,6 +233,32 @@ def test_array_dataclasses_compare_by_identity(group, coherent_gateset):
         assert (first == second) is (first is second)
         assert isinstance(hash(first), int)
         assert first in [second, first]
+
+
+def test_array_records_pickle_read_only(coherent_gateset):
+    # records cross `_fork_map` pickled (gatesets, with their group and SPAM,
+    # to the simulation workers, datasets to the fit workers); numpy
+    # unpickles every array writable, so each record is rebuilt by its
+    # constructor
+    spam = Spam(np.array([1.0, 0.3, -0.5, 0.7]) / np.sqrt(2.0), [0.5, 0.1, 0.2, 0.3])
+    tilted = replace(coherent_gateset, spam=spam)
+    transform = GaugeTransform.random_tp(seed=3, scale=0.3)
+    arrays = {
+        GateIndependent.depolarizing(0.9): ["channel"],
+        CustomPrimitive(np.eye(4), np.diag([1.0, 0.9, 0.9, 0.9])): ["gx", "gy"],
+        tilted: ["ptms", "ideal.ptms", "ideal.cayley", "ideal.inverse", "spam.state", "spam.effect"],
+        run_rb(tilted, RBConfig(lengths=(1, 2, 7), k_per_length=5)): ["means"],
+        transform: ["m", "m_inv"],
+        transform.transform_gateset(tilted): ["ptms", "spam.state", "spam.effect"],
+    }
+    for record, names in arrays.items():
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        for name in names:
+            original, copied = attrgetter(name)(record), attrgetter(name)(copy)
+            assert not copied.flags.writeable, f"{type(record).__name__}.{name}"
+            assert copied.dtype == original.dtype and copied.tobytes() == original.tobytes()
+    assert pickle.loads(pickle.dumps(tilted)).ideal.words == tilted.ideal.words
 
 
 def test_channel_holders_keep_a_read_only_copy(group):

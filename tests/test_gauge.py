@@ -9,7 +9,6 @@ from rblab import (
     EpsilonMinResult,
     GatesetTheory,
     GaugeTransform,
-    Spam,
     WallmanGauge,
     agi,
     agsi_of,
@@ -17,6 +16,7 @@ from rblab import (
     choi_eigenvalues,
     counterexample_epsilon_min,
     depolarizing_channel,
+    exact_decay,
     infidelity_and_min_choi,
     epsilon_min_search,
     gamma_and_r_gamma,
@@ -77,19 +77,23 @@ def test_identity_gauge_is_a_no_op(coherent_gateset):
     assert np.array_equal(transformed.ptms, coherent_gateset.ptms)
 
 
-def test_gauge_preserves_circuit_probabilities(coherent_gateset):
+def test_gauge_preserves_circuit_probabilities(
+    coherent_gateset, general_gateset, depolarizing_gateset, random_gatesets
+):
+    # one `transform_gateset` call moves the gates, the state and the effect
     rng = np.random.default_rng(31)
-    spam = Spam.ideal()
-    worst = 0.0
-    for trial in range(10):
-        transform = GaugeTransform.random_tp(seed=trial, scale=0.4)
-        transformed = transform.transform_gateset(coherent_gateset)
-        spam_t = transform.transform_spam(spam)
-        blocks = [rng.integers(0, 24, size=(20, m)) for m in range(1, 6)]
-        for p, q in zip(sequence_survivals(coherent_gateset, blocks, spam),
-                        sequence_survivals(transformed, blocks, spam_t)):
-            worst = max(worst, np.max(np.abs(p - q)))
-    assert worst < 1e-10
+    lengths = (1, 51, 501, 2001)
+    worst_sampled = worst_exact = 0.0
+    for gateset in [coherent_gateset, general_gateset, depolarizing_gateset, *random_gatesets]:
+        _, exact = exact_decay(gateset, lengths=lengths)
+        for trial in range(10):
+            transformed = GaugeTransform.random_tp(seed=trial, scale=0.4).transform_gateset(gateset)
+            blocks = [rng.integers(0, 24, size=(20, m)) for m in range(1, 6)]
+            for p, q in zip(sequence_survivals(gateset, blocks), sequence_survivals(transformed, blocks)):
+                worst_sampled = max(worst_sampled, np.max(np.abs(p - q)))
+            worst_exact = max(worst_exact, np.max(np.abs(exact_decay(transformed, lengths=lengths)[1] - exact)))
+    assert worst_sampled < 1e-10
+    assert worst_exact < 1e-10
 
 
 def test_gauge_changes_epsilon_but_not_spectrum(coherent_gateset):
@@ -296,6 +300,11 @@ def test_result_records_take_only_their_inputs():
         EpsilonMinResult: ["epsilon_min_estimate", "transform", "min_choi_eigenvalue"],
         WallmanGauge: ["l_op", "epsilon_in_gauge", "min_choi_eigenvalue", "null_space_dim", "residual"],
     }
+    # a gauge transform takes M and derives its inverse, a declared field
+    assert [(f.name, f.init) for f in fields(GaugeTransform)] == [("m", True), ("m_inv", False)]
+    transform = GaugeTransform.random_tp(seed=3, scale=0.3)
+    assert np.array_equal(transform.m_inv, np.linalg.inv(transform.m)) and not transform.m_inv.flags.writeable
+    assert "m_inv" not in repr(transform)
     # each CP flag is read off the smallest Choi eigenvalue at its own floor
     identity = GaugeTransform(np.eye(4))
     for value, row_cp, search_cp in ((0.0, True, True), (-1e-10, True, True), (-1e-9, False, True), (-2e-8, False, False)):

@@ -13,14 +13,12 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from rblab import (
-    Effect,
     FitError,
     FitResult,
     RBConfig,
     RBDataset,
     RBEstimate,
     Spam,
-    State,
     estimate_r,
     estimate_rs,
     fit_decay,
@@ -60,9 +58,9 @@ def _sampled_sequence(m, rng):
     return rng.integers(0, 24, size=(1, m))
 
 
-def _survival(gateset, sequence, spam=None):
+def _survival(gateset, sequence):
     """Survival of one (1, m) block completed by its inversion."""
-    return sequence_survivals(gateset, [sequence], spam or Spam.ideal())[0][0]
+    return sequence_survivals(gateset, [sequence])[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -73,7 +71,7 @@ def _survival(gateset, sequence, spam=None):
 # a pure state along a generic Bloch direction: of the 24 Cliffords only the
 # identity maps it to itself, so on the perfect gateset a row survives with
 # probability 1 only if its appended inversion undoes the sequence exactly
-GENERIC = Spam(State(TILTED), Effect(TILTED))
+GENERIC = Spam(TILTED, TILTED)
 
 
 def test_sampled_sequences_invert_to_identity(perfect_gateset, group):
@@ -81,13 +79,13 @@ def test_sampled_sequences_invert_to_identity(perfect_gateset, group):
     assert sum(np.allclose(v, TILTED) for v in rotated) == 1
     rng = np.random.default_rng(4)
     blocks = [rng.integers(0, 24, size=(30, m)) for m in (1, 2, 5, 20, 2, 101)]
-    for probs in sequence_survivals(perfect_gateset, blocks, GENERIC):
+    for probs in sequence_survivals(replace(perfect_gateset, spam=GENERIC), blocks):
         assert np.max(np.abs(probs - 1.0)) < 1e-12
 
 
 def test_identity_sequence_inverts_to_identity(perfect_gateset, group):
     indices = np.full((1, 1), group.identity_index, dtype=np.intp)
-    assert abs(_survival(perfect_gateset, indices, GENERIC) - 1.0) < 1e-12
+    assert abs(_survival(replace(perfect_gateset, spam=GENERIC), indices) - 1.0) < 1e-12
 
 
 def test_first_index_uniform_chi_square(group):
@@ -187,9 +185,8 @@ def test_run_rb_sampling_band_against_enumeration(coherent_gateset):
     # population mean/std over all 24 (m=1) and 576 (m=2) sequences
     config = RBConfig(lengths=(1, 2), k_per_length=500, seed=21)
     dataset = run_rb(coherent_gateset, config)
-    populations = sequence_survivals(
-        coherent_gateset, [np.array(list(product(range(24), repeat=m))) for m in dataset.lengths], Spam.ideal()
-    )
+    enumerated = [np.array(list(product(range(24), repeat=m))) for m in dataset.lengths]
+    populations = sequence_survivals(coherent_gateset, enumerated)
     for sampled_mean, population in zip(dataset.means, populations):
         band = 4.0 * population.std(ddof=0) / np.sqrt(config.k_per_length)
         assert abs(sampled_mean - population.mean()) <= band + 1e-15
@@ -212,7 +209,7 @@ def _assert_matches_reference(gateset, config, reference_survivals):
     for length_index, (m, probs) in enumerate(zip(config.lengths, dataset.survivals)):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, length_index]))
         sequences = rng.integers(0, 24, size=(config.k_per_length, m))
-        expected = reference_survivals(gateset, sequences, config.spam)
+        expected = reference_survivals(gateset, sequences)
         assert np.array_equal(probs, expected), f"length {length_index}: m = {m}"
         assert dataset.means[length_index] == probs.mean()
 
@@ -229,9 +226,9 @@ def test_run_rb_ragged_batches_match_reference_bitwise(coherent_gateset, referen
 @pytest.mark.parametrize("tilted", [False, True], ids=["ideal-spam", "tilted-spam"])
 def test_run_rb_one_sequence_per_length_matches_reference_bitwise(general_gateset, reference_survivals, tilted):
     # with a tilted effect every Pauli component enters the final product
-    spam = Spam(State(TILTED), Effect(TILTED)) if tilted else Spam.ideal()
-    config = RBConfig(lengths=(5, 1, 30, 5, 2, 1), k_per_length=1, seed=8, spam=spam)
-    _assert_matches_reference(general_gateset, config, reference_survivals)
+    gateset = replace(general_gateset, spam=GENERIC) if tilted else general_gateset
+    config = RBConfig(lengths=(5, 1, 30, 5, 2, 1), k_per_length=1, seed=8)
+    _assert_matches_reference(gateset, config, reference_survivals)
 
 
 def _batch_bytes(lengths, k, batch):
@@ -301,11 +298,12 @@ _INVALID_BLOCKS = {
 @pytest.mark.parametrize("name", _INVALID_BLOCKS)
 def test_sequence_survivals_rejects_invalid_blocks(perfect_gateset, name):
     with pytest.raises(ValueError):
-        sequence_survivals(perfect_gateset, _INVALID_BLOCKS[name], Spam.ideal())
+        sequence_survivals(perfect_gateset, _INVALID_BLOCKS[name])
 
 
 def test_sequence_survivals_takes_a_block_of_no_rows(perfect_gateset):
-    empty, probs = sequence_survivals(perfect_gateset, [np.zeros((0, 3), dtype=np.intp), np.array([[5, 7]])], GENERIC)
+    blocks = [np.zeros((0, 3), dtype=np.intp), np.array([[5, 7]])]
+    empty, probs = sequence_survivals(replace(perfect_gateset, spam=GENERIC), blocks)
     assert empty.shape == (0,)
     assert abs(probs[0] - 1.0) < 1e-12
 
@@ -314,12 +312,13 @@ def test_blocks_match_one_by_one_bitwise(general_gateset, reference_survivals):
     rng = np.random.default_rng(19)
     shapes = [(7, 3), (1, 40), (12, 3), (5, 1), (9, 17)]
     sequences = [rng.integers(0, 24, size=shape) for shape in shapes]
-    survivals = sequence_survivals(general_gateset, sequences, GENERIC)
+    gateset = replace(general_gateset, spam=GENERIC)
+    survivals = sequence_survivals(gateset, sequences)
     assert len(survivals) == len(shapes)
     for block, probs in zip(sequences, survivals):
         assert probs.shape == (len(block),)
-        assert np.array_equal(probs, sequence_survivals(general_gateset, [block], GENERIC)[0])
-        assert np.array_equal(probs, reference_survivals(general_gateset, block, GENERIC))
+        assert np.array_equal(probs, sequence_survivals(gateset, [block])[0])
+        assert np.array_equal(probs, reference_survivals(gateset, block))
 
 
 def test_dataset_validation_and_csv(tmp_path):
@@ -760,7 +759,7 @@ def test_records_pickle(coherent_gateset):
     copy = pickle.loads(pickle.dumps(dataset))
     assert copy.lengths == dataset.lengths
     assert all(map(np.array_equal, copy.survivals, dataset.survivals))
-    assert copy.means.tobytes() == dataset.means.tobytes()
+    assert copy.means.tobytes() == dataset.means.tobytes() and not copy.means.flags.writeable
     fitted, flat = (pickle.loads(pickle.dumps(fit)) for fit in fits)
     assert fitted == fits[0] and fitted.r_hat == (1.0 - fits[0].p) / 2
     assert repr(flat) == repr(fits[1]) and np.isnan(flat.r_hat)  # its p is NaN, which equals nothing
@@ -819,12 +818,17 @@ def test_estimate_json_payload(tmp_path):
 
 def test_spam_override_changes_asymptote(depolarizing_gateset):
     # a tilted preparation lowers every survival but the decay base survives
-    tilted = Spam(
-        state=State(np.array([1.0, 0.3, 0.0, np.sqrt(1.0 - 0.09)]) / np.sqrt(2.0)),
-        effect=Effect.z_plus(),
-    )
-    config = RBConfig(lengths=LENGTHS, k_per_length=10, seed=77, spam=tilted)
-    dataset = run_rb(depolarizing_gateset, config)
+    tilted = Spam(np.array([1.0, 0.3, 0.0, np.sqrt(1.0 - 0.09)]) / np.sqrt(2.0), Spam.ideal().effect)
+    config = RBConfig(lengths=LENGTHS, k_per_length=10, seed=77)
+    dataset = run_rb(replace(depolarizing_gateset, spam=tilted), config)
     fit = fit_decay(dataset, model="first")
     assert dataset.means[0] < 0.999
     assert abs(fit.r_hat - 0.005) < 1e-6
+
+
+def test_run_rb_rejects_spam_that_gives_no_probability(perfect_gateset):
+    # `Spam` checks only what every gauge keeps; a state whose Bloch vector
+    # has length 1.4 is caught by the survivals it gives, 1.2 on every circuit
+    outside = Spam(np.array([1.0, 0.0, 0.0, 1.4]) / np.sqrt(2.0), Spam.ideal().effect)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        run_rb(replace(perfect_gateset, spam=outside), RBConfig(lengths=(1, 2), k_per_length=3))

@@ -5,9 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rblab import (
-    Effect,
     GateIndependent,
-    State,
+    Spam,
     agi,
     as_channel,
     build_gateset,
@@ -85,13 +84,12 @@ def test_depolarizing_rejects_non_cp_range():
 
 
 def test_born_rule_basics():
-    state = State.z_plus()
-    effect = Effect.z_plus()
-    assert abs(effect.coeffs @ IDENTITY @ state.coeffs - 1.0) < 1e-15
-    assert abs(effect.coeffs @ rotation_channel(X_AXIS, np.pi) @ state.coeffs) < 1e-14
+    spam = Spam.ideal()
+    assert abs(spam.effect @ IDENTITY @ spam.state - 1.0) < 1e-15
+    assert abs(spam.effect @ rotation_channel(X_AXIS, np.pi) @ spam.state) < 1e-14
     for lam in (0.0, 0.5, 0.73, 1.0):
         expected = (1.0 + lam) / 2.0
-        assert abs(effect.coeffs @ depolarizing_channel(lam) @ state.coeffs - expected) < 1e-14
+        assert abs(spam.effect @ depolarizing_channel(lam) @ spam.state - expected) < 1e-14
 
 
 def test_as_channel_checks_dimensions():
@@ -104,24 +102,29 @@ def test_as_channel_checks_dimensions():
 
 
 def test_state_and_effect_validation(state_from_density_matrix, effect_from_operator):
+    ideal = Spam.ideal()
     with pytest.raises(ValueError, match="unit trace"):
-        State(np.array([1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="Bloch"):
-        State(np.array([1.0, 1.0, 1.0, 1.0]) / np.sqrt(2.0))
-    with pytest.raises(ValueError, match="eigenvalues"):
-        Effect(np.array([2.0, 0.0, 0.0, 0.0]))
+        Spam(np.array([1.0, 0.0, 0.0, 0.0]), ideal.effect)
+    # positivity holds in one gauge only, so a state outside the Bloch ball
+    # and an effect with eigenvalues outside [0, 1] are representable
+    outside = Spam(np.array([1.0, 1.0, 1.0, 1.0]) / np.sqrt(2.0), np.array([2.0, 0.0, 0.0, 0.0]))
+    for vector in (ideal.state, ideal.effect, outside.state, outside.effect):
+        assert vector.dtype == float and not vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0.0
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    assert np.allclose(state_from_density_matrix(rho).coeffs, State.z_plus().coeffs)
-    assert np.allclose(effect_from_operator(rho).coeffs, Effect.z_plus().coeffs)
+    assert np.allclose(state_from_density_matrix(rho), ideal.state)
+    assert np.allclose(effect_from_operator(rho), ideal.effect)
 
 
 def test_one_qubit_shapes_are_enforced(state_from_density_matrix):
+    ideal = Spam.ideal()
     with pytest.raises(ValueError):
         as_channel(np.eye(9))
-    with pytest.raises(ValueError):
-        State(np.zeros(9), validate=False)
-    with pytest.raises(ValueError):
-        Effect(np.full(9, 0.1))
+    with pytest.raises(ValueError, match="state must have 4 coefficients"):
+        Spam(np.zeros(9), ideal.effect)
+    with pytest.raises(ValueError, match="effect must have 4 coefficients"):
+        Spam(ideal.state, np.full(9, 0.1))
     with pytest.raises(ValueError):
         state_from_density_matrix(np.eye(3) / 3)
 
@@ -310,14 +313,11 @@ def test_diamond_submultiplicativity():
 
 def test_diamond_measurement_bound():
     rng = np.random.default_rng(23)
-    state = State.z_plus()
-    effect = Effect.z_plus()
+    spam = Spam.ideal()
     for trial in range(5):
         a = _random_cptp(rng)
         b = _random_cptp(rng)
-        lhs = 2.0 * abs(
-            effect.coeffs @ a @ state.coeffs - effect.coeffs @ b @ state.coeffs
-        )
+        lhs = 2.0 * abs(spam.effect @ a @ spam.state - spam.effect @ b @ spam.state)
         assert lhs <= diamond_distance(a, b, seed=trial) + 1e-6
 
 
@@ -441,8 +441,8 @@ _CHANNELS = st.one_of(_kraus_channels(), _unital_channels())
 def test_diamond_bracket_properties(a, b):
     lower, upper = diamond_bracket(a, b)
     assert lower <= upper + 1e-12
-    state, effect = State.z_plus(), Effect.z_plus()
-    measured = 2.0 * abs(effect.coeffs @ a @ state.coeffs - effect.coeffs @ b @ state.coeffs)
+    spam = Spam.ideal()
+    measured = 2.0 * abs(spam.effect @ a @ spam.state - spam.effect @ b @ spam.state)
     assert lower >= measured - 1e-12
     swapped_lower, swapped_upper = diamond_bracket(b, a)
     scale = max(1.0, upper)

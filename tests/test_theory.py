@@ -230,16 +230,15 @@ def test_exact_decay_exponential_for_long_sequences(coherent_gateset):
 
 
 def test_spam_enters_predictions(depolarizing_gateset):
-    from rblab import Effect, State
-
-    tilted = Spam(
-        state=State(np.array([1.0, 0.5, 0.0, np.sqrt(0.75)]) / np.sqrt(2.0)),
-        effect=Effect.z_plus(),
+    tilted = replace(
+        depolarizing_gateset, spam=Spam(np.array([1.0, 0.5, 0.0, np.sqrt(0.75)]) / np.sqrt(2.0), Spam.ideal().effect)
     )
     _, plain = exact_decay(depolarizing_gateset, lengths=[5])
-    _, moved = exact_decay(depolarizing_gateset, spam=tilted, lengths=[5])
+    _, moved = exact_decay(tilted, lengths=[5])
     assert moved[0] < plain[0]
     lam = 0.99
     # Bloch overlap of tilted state with the z axis is sqrt(0.75)
     expected = 0.5 + 0.5 * np.sqrt(0.75) * lam**6
     assert abs(moved[0] - expected) < 1e-12
+    # the approximate theory is exact on a gate-independent error, and reads the same SPAM
+    assert abs(predicted_decay(GatesetTheory(tilted), lengths=[5])[0] - expected) < 1e-12
