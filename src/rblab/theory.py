@@ -14,18 +14,20 @@ Two decay predictors for a gateset, its gates and its SPAM (`GateSet.spam`):
 
 The result records take only their inputs: `GatesetTheory(gateset)` builds
 its `L` map and gamma itself, and `DeltaBound` derives delta_diamond from
-its per-gate distances.
+its per-gate distances. Their arrays are read-only, and each record pickles
+through its constructor (`superop._read_only_record`), so a copy is
+read-only too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .clifford import GateSet, average_error_map, error_maps
 from .protocol import _checked_lengths
-from .superop import diamond_bracket, vec, unvec
+from .superop import _read_only_record, diamond_bracket, vec, unvec
 
 __all__ = [
     "SpectralDecay",
@@ -43,16 +45,29 @@ _EIG_COND_LIMIT = 1e8
 _REALNESS_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+def _hold_read_only(record, name: str, dtype=None) -> None:
+    """Replace the record's array `name` by a read-only copy."""
+    value = np.array(getattr(record, name), dtype=dtype)
+    value.setflags(write=False)
+    object.__setattr__(record, name, value)
+
+
+@_read_only_record
 class SpectralDecay:
     """Eigenvalues and SPAM-dependent weights of the sequence-averaging
-    matrix R; the prediction at length m is sum_i weights_i * eig_i**(m+1).
-    Weights are None when R was numerically defective and the spectral form
-    was abandoned for iterated multiplication.
+    matrix R, held as read-only copies; the prediction at length m is
+    sum_i weights_i * eig_i**(m+1). Weights are None when R was numerically
+    defective and the spectral form was abandoned for iterated
+    multiplication.
     """
 
     eigenvalues: np.ndarray
     weights: np.ndarray | None
+
+    def __post_init__(self):
+        _hold_read_only(self, "eigenvalues")
+        if self.weights is not None:
+            _hold_read_only(self, "weights")
 
     def predict(self, lengths) -> np.ndarray:
         if self.weights is None:
@@ -65,7 +80,7 @@ class SpectralDecay:
         return values.real
 
 
-@dataclass(frozen=True, eq=False)
+@_read_only_record
 class DeltaBound:
     """Per-gate diamond distances to the average error map; their mean over
     two, delta_diamond, bounds the approximate theory's error at every length.
@@ -78,6 +93,10 @@ class DeltaBound:
 
     per_gate_distances: np.ndarray
     per_gate_upper: np.ndarray
+
+    def __post_init__(self):
+        _hold_read_only(self, "per_gate_distances", float)
+        _hold_read_only(self, "per_gate_upper", float)
 
     @property
     def delta_diamond(self) -> float:
@@ -176,11 +195,11 @@ def gamma_and_r_gamma(l_matrix: np.ndarray) -> tuple[float, float]:
     return gamma_real, (1.0 - gamma_real) / 2
 
 
-@dataclass(frozen=True, eq=False)
+@_read_only_record
 class GatesetTheory:
-    """A gateset in the small-error regime with its 16x16 `L` map, the map's
-    subdominant eigenvalue gamma and r_gamma, each computed once from the
-    gateset on construction, which raises the ValueError of
+    """A gateset in the small-error regime with its read-only 16x16 `L` map,
+    the map's subdominant eigenvalue gamma and r_gamma, each computed once
+    from the gateset on construction, which raises the ValueError of
     `gamma_and_r_gamma` outside the small-error regime."""
 
     gateset: GateSet
@@ -191,6 +210,7 @@ class GatesetTheory:
     def __post_init__(self):
         l_map = build_l_map(self.gateset)
         gamma, r_gamma = gamma_and_r_gamma(l_map)
+        l_map.setflags(write=False)
         object.__setattr__(self, "l_map", l_map)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "r_gamma", r_gamma)

@@ -13,6 +13,7 @@ from rblab import (
     agi,
     build_gateset,
     compile_cliffords,
+    gauge,
     generate_clifford_group,
     sequence_survivals,
 )
@@ -197,6 +198,25 @@ def _reference_primed_l_map(gateset):
 @pytest.fixture(scope="session")
 def reference_primed_l_map():
     return _reference_primed_l_map
+
+
+def _reference_objective(params, tilde, ideal_inv):
+    """The search objective from the full spectrum of all 24 Choi matrices:
+    `rblab.gauge._evaluate`'s epsilon plus `_CP_PENALTY` times the square of
+    its smallest eigenvalue when that is negative, and 1e6 where the gauge
+    cannot be inverted, as a check of the Cholesky-gated
+    `rblab.gauge._objective`."""
+    evaluated = gauge._evaluate(params, tilde, ideal_inv)
+    if evaluated is None:
+        return 1e6
+    eps, min_eig = evaluated
+    violation = min(min_eig, 0.0)
+    return eps + gauge._CP_PENALTY * violation * violation
+
+
+@pytest.fixture(scope="session")
+def reference_objective():
+    return _reference_objective
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 import multiprocessing
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rblab import (
+    CoherentZ,
     CounterexampleRow,
     EpsilonMinResult,
     GatesetTheory,
@@ -12,6 +14,7 @@ from rblab import (
     WallmanGauge,
     agi,
     agsi_of,
+    build_gateset,
     build_l_map,
     choi_eigenvalues,
     counterexample_epsilon_min,
@@ -24,9 +27,10 @@ from rblab import (
     sequence_survivals,
     wallman_gauge,
 )
+from rblab import gauge
 from rblab.clifford import error_maps
 from rblab.protocol import _fork_workers
-from rblab.superop import rotation_channel
+from rblab.superop import PTM_TO_CHOI, rotation_channel
 
 
 def test_gauge_transform_validation():
@@ -226,6 +230,69 @@ def test_epsilon_min_search_monotone_in_restarts(depolarizing_gateset):
     few = epsilon_min_search(depolarizing_gateset, restarts=2, seed=5)
     more = epsilon_min_search(depolarizing_gateset, restarts=5, seed=5)
     assert more.epsilon_min_estimate <= few.epsilon_min_estimate + 1e-15
+
+
+def test_gated_objective_equals_the_full_spectrum_one(
+    depolarizing_gateset, perfect_gateset, coherent_gateset, group, table, reference_objective, monkeypatch
+):
+    # at every evaluation of five searches, the Cholesky-gated objective is
+    # bitwise the one from all 24 Choi spectra (no tolerance), and warns of
+    # no NaN; each search makes the parent's number of evaluations
+    searches = {
+        "depolarizing, seed 0": (depolarizing_gateset, 0, (0, 1), 11_422),
+        "depolarizing, seed 5": (depolarizing_gateset, 5, range(5), 28_492),
+        "perfect, seed 3": (perfect_gateset, 3, (0, 1), 7_030),
+        "coherent 0.1": (coherent_gateset, 0, (0, 1), 11_539),
+        "coherent 0.02": (build_gateset(CoherentZ(0.02), group, table), 0, (0, 1), 11_545),
+    }
+    gated = gauge._objective
+    seen = []
+
+    def checked(params, tilde, ideal_inv):
+        value = gated(params, tilde, ideal_inv)
+        seen.append(value == reference_objective(params, tilde, ideal_inv))
+        return value
+
+    monkeypatch.setattr(gauge, "_objective", checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (gateset, seed, indices, evaluations) in searches.items():
+            seen.clear()
+            ideal_inv = gateset.ideal.ptms[gateset.ideal.inverse]
+            for index in indices:
+                gauge._restart(gateset.ptms, ideal_inv, seed, index)
+            assert (len(seen), seen.count(False)) == (evaluations, 0), name
+
+
+def _with_least_choi_eigenvalues(ptms, targets: dict) -> np.ndarray:
+    """The PTM stack with the smallest Choi eigenvalue of gate i set to
+    targets[i], its eigenvectors and other eigenvalues kept."""
+    out = np.array(ptms)
+    for i, target in targets.items():
+        choi = (PTM_TO_CHOI @ out[i].reshape(16)).reshape(4, 4)
+        values, vectors = np.linalg.eigh(0.5 * (choi + choi.conj().T))
+        values[0] = target
+        choi = (vectors * values) @ vectors.conj().T
+        out[i] = np.linalg.solve(PTM_TO_CHOI, choi.reshape(16)).real.reshape(4, 4)
+    return out
+
+
+@pytest.mark.parametrize("target", [1e-6, -1e-6, 1e-9, -1e-9, 1e-15, -1e-15, 0.0])
+def test_gated_objective_on_stacks_near_the_cp_boundary(depolarizing_gateset, reference_objective, target):
+    # every Choi matrix of the depolarizing gateset is positive definite; one,
+    # two or all 24 get the least eigenvalue `target` (0: rank-deficient PSD),
+    # the second of two a deeper one, so the least over the failed matrices
+    # is not the first failed one
+    ideal_inv = depolarizing_gateset.ideal.ptms[depolarizing_gateset.ideal.inverse]
+    params = np.zeros(12)
+    for targets in ({5: target}, {5: target, 17: 2 * target}, dict.fromkeys(range(24), target)):
+        tilde = _with_least_choi_eigenvalues(depolarizing_gateset.ptms, targets)
+        expected = reference_objective(params, tilde, ideal_inv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gauge._objective(params, tilde, ideal_inv) == expected, targets
+        if target <= -1e-9:  # the penalty shows
+            assert expected > gauge._evaluate(params, tilde, ideal_inv)[0]
 
 
 def _same_search(a, b) -> bool:

@@ -1,4 +1,6 @@
+import pickle
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -174,6 +176,32 @@ def test_gateset_theory_derives_its_fields(coherent_gateset):
     with pytest.raises(TypeError):
         GatesetTheory(coherent_gateset, analysis.l_map)
     assert np.array_equal(replace(analysis).l_map, analysis.l_map)
+
+
+def test_theory_records_hold_read_only_arrays(coherent_gateset, monkeypatch):
+    # each stays read-only with equal bytes through a pickle round trip, the
+    # way a record crosses `protocol._fork_map`
+    decay, _ = exact_decay(coherent_gateset)
+    arrays = {
+        GatesetTheory(coherent_gateset): ["l_map", "gateset.ptms"],
+        decay: ["eigenvalues", "weights"],
+        delta_diamond(coherent_gateset): ["per_gate_distances", "per_gate_upper"],
+    }
+    for record, names in arrays.items():
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        for name in names:
+            original, copied = attrgetter(name)(record), attrgetter(name)(copy)
+            assert not original.flags.writeable and not copied.flags.writeable, f"{type(record).__name__}.{name}"
+            assert copied.dtype == original.dtype and copied.tobytes() == original.tobytes()
+    # the fallback keeps no weights
+    monkeypatch.setattr(rblab.theory, "_EIG_COND_LIMIT", 0.0)
+    fallback = pickle.loads(pickle.dumps(exact_decay(coherent_gateset)[0]))
+    assert fallback.weights is None and not fallback.eigenvalues.flags.writeable
+    # a record holds its own copy, so its input stays writable
+    distances = np.array([0.1, 0.2])
+    assert not DeltaBound(distances, distances).per_gate_distances.flags.writeable
+    assert distances.flags.writeable
 
 
 def test_predicted_equals_exact_for_gate_independent(depolarizing_gateset):

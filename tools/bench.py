@@ -13,7 +13,9 @@ The shapes (all four when none is named):
   thetas evenly spaced over [0.02, 0.16], lengths 1..201 step 10, 20
   sequences per length and 12 repeats per theta, so 96 datasets and fits.
 - gauge: `gauge.epsilon_min_search` on the lambda = 0.99 depolarizing
-  gateset of the `analysis` workload, at 2 and 8 restarts, and
+  gateset of the `analysis` workload, at 2 and 8 restarts, and on
+  coherent_z with theta = 0.1 at 2 restarts (unitary gates, whose rank-1
+  Choi matrices all fail the search objective's Cholesky test), and
   `gauge.counterexample_epsilon_min` on the same lambda over the CLI's
   default 81 alphas in [0.9, 1.1] (the seed does not enter it).
 - startup: a fresh interpreter that sets up as `perfbench/startup.py` does
@@ -172,14 +174,14 @@ def _gauge_sha1(results) -> str:
 
 def gauge_search() -> dict:
     lam = 0.99
-    gateset = build_gateset(GateIndependent.depolarizing(lam))
+    depolarizing = build_gateset(GateIndependent.depolarizing(lam))
     stages = {"nelder_mead": Stage(gauge, "_nelder_mead", "evaluations", lambda res, *args: res[2])}
 
-    def case(restarts: int) -> Case:
+    def case(gateset, restarts: int, model: dict) -> Case:
         def call(seed: int):
             return gauge.epsilon_min_search(gateset, restarts=restarts, seed=seed)
 
-        return Case(call, _gauge_sha1, stages, {"lambda": lam, "restarts": restarts, "workers": protocol._fork_workers(restarts)})
+        return Case(call, _gauge_sha1, stages, {**model, "restarts": restarts, "workers": protocol._fork_workers(restarts)})
 
     alphas = np.linspace(0.9, 1.1, 81)
 
@@ -188,7 +190,10 @@ def gauge_search() -> dict:
 
     # its own stage: it never calls `_nelder_mead`, whose rate would be 0 work over 0 s
     scoring = {"score": Stage(gauge, "infidelity_and_min_choi", "scores", lambda res, *args: 1)}
-    cases = {f"restarts_{n}": case(n) for n in (2, 8)}
+    cases = {f"restarts_{n}": case(depolarizing, n, {"lambda": lam}) for n in (2, 8)}
+    # unitary gates: every Choi matrix has rank 1, so every one fails the objective's Cholesky test
+    coherent = {"model": {"name": "coherent_z", "theta": 0.1}}
+    cases["coherent_restarts_2"] = case(build_gateset(CoherentZ(0.1)), 2, coherent)
     cases["counterexample_81"] = Case(counterexample, _counterexample_sha1, scoring, {"lambda": lam, "alphas": len(alphas)})
     return cases
 
